@@ -14,6 +14,7 @@
 use rgpdos::blockdev::{scan_for_pattern, InstrumentedDevice, LatencyModel, MemDevice};
 use rgpdos::core::schema::listing1_user_schema;
 use rgpdos::dbfs::Dbfs;
+use rgpdos::inode::CacheStats;
 use rgpdos::kernel::{ObjectClass, Operation, SecurityContext, Syscall};
 use rgpdos::prelude::*;
 use rgpdos::shard::ShardedDbfs;
@@ -33,7 +34,7 @@ use std::time::Instant;
 const BENCH_SEED: u64 = 0x2018_0525;
 
 /// One machine-readable result entry.
-#[derive(Debug, Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Serialize, serde::Deserialize)]
 struct BenchEntry {
     scenario: String,
     counters: BTreeMap<String, f64>,
@@ -75,6 +76,22 @@ impl BenchReport {
                 .collect(),
             elapsed_ms,
         });
+    }
+
+    /// Writes the entries whose scenario starts with `prefix` (in push
+    /// order) to `path` as a report of their own — how `--s3`, `--s4` and
+    /// `--gdpr` produce their per-experiment `reports/BENCH_*.json`.
+    fn write_scenarios(&self, path: &str, prefix: &str) {
+        let subset = BenchReport {
+            entries: self
+                .entries
+                .iter()
+                .filter(|entry| entry.scenario.starts_with(prefix))
+                .cloned()
+                .collect(),
+            ..BenchReport::default()
+        };
+        write_report(path, &subset);
     }
 }
 
@@ -529,7 +546,6 @@ fn s3(report: &mut BenchReport) {
         "backend, records, mode, journal_txs, device_writes, sim_io_us, wall_ms, \
          sim_krecords_per_s, cache_hit_rate_pct, commit_p50_us, commit_p99_us"
     );
-    let mut s3_report = BenchReport::default();
 
     let rows_for = |records: usize| -> Vec<(SubjectId, Row)> {
         (0..records as u64)
@@ -564,37 +580,32 @@ fn s3(report: &mut BenchReport) {
         (dbfs, device, ctx)
     };
 
-    let record_run = |s3_report: &mut BenchReport,
-                      report: &mut BenchReport,
-                      backend: &str,
-                      records: usize,
-                      mode: &str,
-                      run: &IngestRun| {
-        println!(
-            "{backend}, {records}, {mode}, {}, {}, {}, {:.2}, {:.1}, {:.1}, {}, {}",
-            run.journal_txs,
-            run.device_writes,
-            run.sim_io_us,
-            run.wall_ms,
-            run.sim_krec_per_s(records),
-            run.cache_hit_rate * 100.0,
-            run.commit_p50_us,
-            run.commit_p99_us
-        );
-        let scenario = format!("s3:ingest:{backend}:records={records}:mode={mode}");
-        let counters = [
-            ("records", records as f64),
-            ("journal_txs", run.journal_txs as f64),
-            ("device_writes", run.device_writes as f64),
-            ("sim_io_us", run.sim_io_us as f64),
-            ("sim_krecords_per_s", run.sim_krec_per_s(records)),
-            ("cache_hit_rate", run.cache_hit_rate),
-            ("commit_p50_us", run.commit_p50_us as f64),
-            ("commit_p99_us", run.commit_p99_us as f64),
-        ];
-        s3_report.push(scenario.clone(), counters, run.wall_ms);
-        report.push(scenario, counters, run.wall_ms);
-    };
+    let record_run =
+        |report: &mut BenchReport, backend: &str, records: usize, mode: &str, run: &IngestRun| {
+            println!(
+                "{backend}, {records}, {mode}, {}, {}, {}, {:.2}, {:.1}, {:.1}, {}, {}",
+                run.journal_txs,
+                run.device_writes,
+                run.sim_io_us,
+                run.wall_ms,
+                run.sim_krec_per_s(records),
+                run.cache_hit_rate * 100.0,
+                run.commit_p50_us,
+                run.commit_p99_us
+            );
+            let scenario = format!("s3:ingest:{backend}:records={records}:mode={mode}");
+            let counters = [
+                ("records", records as f64),
+                ("journal_txs", run.journal_txs as f64),
+                ("device_writes", run.device_writes as f64),
+                ("sim_io_us", run.sim_io_us as f64),
+                ("sim_krecords_per_s", run.sim_krec_per_s(records)),
+                ("cache_hit_rate", run.cache_hit_rate),
+                ("commit_p50_us", run.commit_p50_us as f64),
+                ("commit_p99_us", run.commit_p99_us as f64),
+            ];
+            report.push(scenario, counters, run.wall_ms);
+        };
 
     for &records in &[300usize, 1_000] {
         let rows = rows_for(records);
@@ -616,7 +627,7 @@ fn s3(report: &mut BenchReport) {
             commit_p50_us,
             commit_p99_us,
         };
-        record_run(&mut s3_report, report, "dbfs", records, "per-op", &per_op);
+        record_run(report, "dbfs", records, "per-op", &per_op);
 
         // Group commit: batched inserts coalesced at the journal-capacity
         // bound.
@@ -635,7 +646,7 @@ fn s3(report: &mut BenchReport) {
             commit_p50_us,
             commit_p99_us,
         };
-        record_run(&mut s3_report, report, "dbfs", records, "batched", &batched);
+        record_run(report, "dbfs", records, "batched", &batched);
 
         // The acceptance bar of the batched write path: >= 3x simulated
         // ingest throughput over per-op commits.
@@ -653,7 +664,6 @@ fn s3(report: &mut BenchReport) {
             ),
         ];
         println!("dbfs, {records}, speedup, -, -, -, -, {speedup:.1}x, -");
-        s3_report.push(format!("s3:speedup:dbfs:records={records}"), counters, 0.0);
         report.push(format!("s3:speedup:dbfs:records={records}"), counters, 0.0);
     }
 
@@ -706,18 +716,15 @@ fn s3(report: &mut BenchReport) {
                 .max()
                 .unwrap_or(0),
             wall_ms,
-            cache_hit_rate: {
-                let merged = sharded
-                    .shards()
-                    .iter()
-                    .map(|shard| shard.cache_stats())
-                    .fold((0u64, 0u64), |acc, s| (acc.0 + s.hits, acc.1 + s.misses));
-                if merged.0 + merged.1 == 0 {
-                    0.0
-                } else {
-                    merged.0 as f64 / (merged.0 + merged.1) as f64
-                }
-            },
+            cache_hit_rate: sharded
+                .shards()
+                .iter()
+                .map(|shard| shard.cache_stats())
+                .fold(CacheStats::default(), |acc, s| CacheStats {
+                    hits: acc.hits + s.hits,
+                    misses: acc.misses + s.misses,
+                })
+                .hit_rate(),
             commit_p50_us,
             commit_p99_us,
         }
@@ -737,7 +744,6 @@ fn s3(report: &mut BenchReport) {
         start.elapsed().as_secs_f64() * 1_000.0,
     );
     record_run(
-        &mut s3_report,
         report,
         &format!("sharded-{shards}"),
         records,
@@ -758,7 +764,6 @@ fn s3(report: &mut BenchReport) {
         start.elapsed().as_secs_f64() * 1_000.0,
     );
     record_run(
-        &mut s3_report,
         report,
         &format!("sharded-{shards}"),
         records,
@@ -772,11 +777,6 @@ fn s3(report: &mut BenchReport) {
     );
     println!("sharded-{shards}, {records}, speedup, -, -, -, -, {speedup:.1}x, -");
     let counters = [("records", records as f64), ("throughput_ratio", speedup)];
-    s3_report.push(
-        format!("s3:speedup:sharded-{shards}:records={records}"),
-        counters,
-        0.0,
-    );
     report.push(
         format!("s3:speedup:sharded-{shards}:records={records}"),
         counters,
@@ -833,12 +833,11 @@ fn s3(report: &mut BenchReport) {
                 ("p50_us", summary.p50 as f64),
                 ("p99_us", summary.p99 as f64),
             ];
-            s3_report.push(format!("s3:rights:{right}"), counters, 0.0);
             report.push(format!("s3:rights:{right}"), counters, 0.0);
         }
     }
 
-    write_report(S3_JSON, &s3_report);
+    report.write_scenarios(S3_JSON, "s3:");
     println!("(batched-ingest results written to {S3_JSON})");
     println!("(group commit coalesces N inserts into one journal transaction; the buffer");
     println!(" cache absorbs the re-reads of hot directory blocks, so ingest throughput");
@@ -854,7 +853,6 @@ fn s4(report: &mut BenchReport) {
 
     println!("--- S4: snapshot reads — N client threads over one store ---");
     println!("mix, threads, ops, wall_ms, kops_per_s, index_lock_holds_delta");
-    let mut s4_report = BenchReport::default();
 
     // A data type's directory tops out around 2.3k entries on the 512-byte
     // geometry (direct + one indirect block), so preload + the widest write
@@ -994,11 +992,6 @@ fn s4(report: &mut BenchReport) {
             ("kops_per_s", kops),
             ("index_lock_holds_delta", holds as f64),
         ];
-        s4_report.push(
-            format!("s4:read-heavy:threads={threads}"),
-            counters,
-            wall_ms,
-        );
         report.push(
             format!("s4:read-heavy:threads={threads}"),
             counters,
@@ -1019,11 +1012,6 @@ fn s4(report: &mut BenchReport) {
             ),
             ("kops_per_s", wkops),
         ];
-        s4_report.push(
-            format!("s4:write-heavy:threads={threads}"),
-            counters,
-            wwall_ms,
-        );
         report.push(
             format!("s4:write-heavy:threads={threads}"),
             counters,
@@ -1052,10 +1040,9 @@ fn s4(report: &mut BenchReport) {
         ("read_scaling_4v1", scaling),
         ("cores", cores as f64),
     ];
-    s4_report.push("s4:read-scaling", counters, 0.0);
     report.push("s4:read-scaling", counters, 0.0);
 
-    write_report(S4_JSON, &s4_report);
+    report.write_scenarios(S4_JSON, "s4:");
     println!("(snapshot-read scaling results written to {S4_JSON})");
     println!("(readers clone the published Arc<IndexSnapshot> and never touch the index");
     println!(" lock, so the read mix scales with cores while the write mix serializes on");
@@ -1081,7 +1068,6 @@ fn gdpr_backend<S: PdStore>(
     ctx: &TraceCtx,
     records: usize,
     report: &mut BenchReport,
-    gdpr_report: &mut BenchReport,
 ) {
     use rgpdos::crypto::escrow::{Authority, OperatorEscrow};
     use rgpdos::workloads::SkewedPopulation;
@@ -1135,7 +1121,6 @@ fn gdpr_backend<S: PdStore>(
             ("ingest_ms", ingest_ms),
         ];
         let scenario = format!("gdpr:mix:{backend}:{mix_name}");
-        gdpr_report.push(scenario.clone(), counters, wall_ms);
         report.push(scenario, counters, wall_ms);
     }
     store
@@ -1190,7 +1175,6 @@ fn gdpr_backend<S: PdStore>(
         ("live_records_after", after.live_records as f64),
     ];
     let scenario = format!("gdpr:scrub:{backend}");
-    gdpr_report.push(scenario.clone(), counters, scrub_ms);
     report.push(scenario, counters, scrub_ms);
 
     // Per-right latency distributions, per mix, from the attached trace.
@@ -1198,6 +1182,7 @@ fn gdpr_backend<S: PdStore>(
     for (mix_name, ..) in &mixes {
         for right in [
             "collect",
+            "read",
             "query",
             "consent",
             "access",
@@ -1221,7 +1206,6 @@ fn gdpr_backend<S: PdStore>(
                 ("p99_us", summary.p99 as f64),
             ];
             let scenario = format!("gdpr:rights:{backend}:{mix_name}:{right}");
-            gdpr_report.push(scenario.clone(), counters, 0.0);
             report.push(scenario, counters, 0.0);
         }
     }
@@ -1245,7 +1229,6 @@ fn gdpr(report: &mut BenchReport) {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(GDPR_DEFAULT_RECORDS);
-    let mut gdpr_report = BenchReport::default();
     println!("backend, mix, outcome");
 
     // Single-device backend, on the 2048-byte geometry the population sweep
@@ -1265,7 +1248,7 @@ fn gdpr(report: &mut BenchReport) {
             .max(records as u64 * 2 + 512);
         let dbfs = Dbfs::format(device, params).expect("format gdpr store");
         dbfs.attach_trace(&ctx);
-        gdpr_backend("dbfs", &dbfs, &ctx, records, report, &mut gdpr_report);
+        gdpr_backend("dbfs", &dbfs, &ctx, records, report);
     }
 
     // Sharded backend: same total population scattered over four shards.
@@ -1295,11 +1278,10 @@ fn gdpr(report: &mut BenchReport) {
             &ctx,
             records,
             report,
-            &mut gdpr_report,
         );
     }
 
-    write_report(GDPR_JSON, &gdpr_report);
+    report.write_scenarios(GDPR_JSON, "gdpr:");
     println!("(GDPR bench results written to {GDPR_JSON})");
     println!("(per-right latency comes from the gdpr_right_latency_us histogram family;");
     println!(" the scrub entries report space amplification before/after compaction)\n");

@@ -487,7 +487,10 @@ pub fn run_mix_on_baseline(
 /// [`PdStore::records_of_subject`], portability → a subject-pinned query
 /// (the machine-readable export), erasure → [`PdStore::erase_subject`],
 /// reads/updates/invokes/audits → membrane loads, consent deltas, full-table
-/// queries and audit-log sweeps (the controller/regulator traffic).
+/// queries and audit-log sweeps (the controller/regulator traffic).  Each
+/// store call has its own `right` label: `read` (per-subject membrane
+/// load), `query` (full-table scan), `consent`, `collect`, `access`,
+/// `portability`, `erasure` and `audit`.
 ///
 /// # Panics
 ///
@@ -543,7 +546,7 @@ pub fn run_gdpr_mix<S: rgpdos::dbfs::PdStore>(
                     .is_ok()
             }
             OperationKind::Read => {
-                let _t = timer("query");
+                let _t = timer("read");
                 store.load_membranes_for_subject(&user, subject).is_ok()
             }
             OperationKind::Update | OperationKind::ConsentChange => {
@@ -691,6 +694,59 @@ mod tests {
         assert_eq!(big.dbfs.count(&"user".into()).unwrap(), 50 + 1_000);
         let balance = big.dbfs.sharded_stats();
         assert_eq!(balance.records_per_shard()[big.target_shard], 50);
+    }
+
+    #[test]
+    fn gdpr_mix_labels_reads_and_table_queries_apart() {
+        use rgpdos::crypto::escrow::{Authority, OperatorEscrow};
+        // Per-subject membrane reads and full-table queries are separate
+        // operations with separate latency distributions.
+        let dbfs = Dbfs::format(MemDevice::new(4_096, 512), DbfsParams::small()).unwrap();
+        dbfs.create_type(rgpdos::core::schema::listing1_user_schema())
+            .unwrap();
+        let subjects: Vec<SubjectId> = (0..4).map(SubjectId::new).collect();
+        for &subject in &subjects {
+            dbfs.collect(
+                "user",
+                subject,
+                Row::new()
+                    .with("name", "mixed")
+                    .with("pwd", "pw")
+                    .with("year_of_birthdate", 1980i64),
+            )
+            .unwrap();
+        }
+        let mix = WorkloadMix {
+            collect: 0,
+            read: 3,
+            update: 0,
+            invoke: 1,
+            access_request: 0,
+            portability: 0,
+            erasure: 0,
+            consent_change: 0,
+            audit: 0,
+        };
+        let (ops, seed) = (40, 7);
+        let stream = mix.generate(ops, seed);
+        let count = |kind: OperationKind| stream.iter().filter(|&&op| op == kind).count() as u64;
+        let (reads, queries) = (count(OperationKind::Read), count(OperationKind::Invoke));
+        assert!(reads > 0 && queries > 0, "the stream must mix both kinds");
+
+        let ctx = rgpdos::trace::TraceCtx::sim();
+        let escrow = OperatorEscrow::new(Authority::generate(1).public_key());
+        let outcome = run_gdpr_mix(&dbfs, &ctx, "mixed", &mix, &subjects, &escrow, ops, seed);
+        assert_eq!(outcome.failures, 0);
+        let requests = |right: &str| {
+            ctx.registry
+                .histogram_summary(
+                    "gdpr_right_latency_us",
+                    &[("right", right), ("mix", "mixed")],
+                )
+                .map(|summary| summary.count)
+        };
+        assert_eq!(requests("read"), Some(reads));
+        assert_eq!(requests("query"), Some(queries));
     }
 
     #[test]

@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod device;
 pub mod error;
 pub mod faults;
@@ -42,7 +41,6 @@ pub mod mem;
 pub mod sanitize;
 pub mod scan;
 
-pub use cache::{CacheStats, CachedDevice};
 pub use device::{BlockDevice, DeviceGeometry};
 pub use error::DeviceError;
 pub use faults::{FaultCell, FaultEvent, FaultPlan, FaultScript, FaultyDevice};

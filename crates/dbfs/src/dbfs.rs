@@ -40,7 +40,7 @@ use rgpdos_inode::fs::ROOT_INO;
 use rgpdos_inode::{FormatParams, Ino, InodeFs, InodeKind, JournalMode};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Name of the schema entry inside a table directory.
 const SCHEMA_ENTRY: &str = "__schema";
@@ -633,16 +633,16 @@ pub struct Dbfs<D> {
     /// scrub pass.  `Arc`'d so gauge closures observe them without
     /// borrowing `self` — and without any device I/O.
     space: Arc<SpaceGauges>,
-    /// Per-operation latency instrumentation, installed by
-    /// [`Dbfs::attach_trace`].  `None` (the default) costs one uncontended
-    /// lock per public operation and nothing else.
-    trace: Mutex<Option<DbfsTrace>>,
+    /// Per-operation latency instrumentation, set once by the first
+    /// [`Dbfs::attach_trace_as`].  Unset (the default), a public operation
+    /// pays one lock-free load and nothing else.
+    trace: OnceLock<DbfsTrace>,
 }
 
 /// The handles [`Dbfs::attach_trace`] installs: one latency histogram per
 /// public operation plus the group-commit size distribution, all timed
 /// against the shared trace clock.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DbfsTrace {
     clock: Arc<rgpdos_trace::TraceClock>,
     op_us: std::collections::BTreeMap<&'static str, rgpdos_trace::Hist>,
@@ -758,7 +758,7 @@ impl<D: BlockDevice> Dbfs<D> {
             stats: DbfsStatsInner::default(),
             index_lock_holds: std::sync::atomic::AtomicU64::new(0),
             space: Arc::new(SpaceGauges::default()),
-            trace: Mutex::new(None),
+            trace: OnceLock::new(),
         })
     }
 
@@ -1063,7 +1063,7 @@ impl<D: BlockDevice> Dbfs<D> {
             stats,
             index_lock_holds: std::sync::atomic::AtomicU64::new(0),
             space: Arc::new(SpaceGauges::default()),
-            trace: Mutex::new(None),
+            trace: OnceLock::new(),
         };
         // Complete any local erase cascade a crash interrupted beyond the
         // single-journal-transaction capacity bound.
@@ -1101,7 +1101,19 @@ impl<D: BlockDevice> Dbfs<D> {
     /// distribution into `dbfs_group_commit_records`.  `labels` tags all
     /// of it (sharded deployments pass `shard="<i>"`).  The trace layer
     /// performs no device I/O of its own.
+    ///
+    /// A store is traced into at most one context: the first attach wins,
+    /// and every later call is a no-op that registers nothing in its
+    /// `ctx`.
     pub fn attach_trace_as(&self, ctx: &rgpdos_trace::TraceCtx, labels: &[(&str, &str)]) {
+        let mut first = false;
+        self.trace.get_or_init(|| {
+            first = true;
+            DbfsTrace::new(ctx, labels)
+        });
+        if !first {
+            return;
+        }
         self.stats.register(&ctx.registry, labels);
         self.fs.attach_trace(ctx, labels);
         // Staleness of the published read snapshot in simulated seconds: 0
@@ -1126,27 +1138,24 @@ impl<D: BlockDevice> Dbfs<D> {
             .gauge_fn("tombstones_reclaimed", labels, move || {
                 i64::try_from(space.reclaimed()).unwrap_or(i64::MAX)
             });
-        *self.trace.lock() = Some(DbfsTrace::new(ctx, labels));
     }
 
     /// A drop-timer for one traced public operation, or `None` when no
     /// trace is attached.
     fn op_timer(&self, op: &'static str) -> Option<rgpdos_trace::HistTimer> {
-        let guard = self.trace.lock();
-        guard
-            .as_ref()
-            .and_then(|t| t.op_us.get(op).map(|h| h.timer(&t.clock)))
+        let t = self.trace.get()?;
+        t.op_us.get(op).map(|h| h.timer(&t.clock))
     }
 
     /// Records the size of one journal group commit, if tracing.
     fn record_group_commit(&self, records: u64) {
-        if let Some(t) = self.trace.lock().as_ref() {
+        if let Some(t) = self.trace.get() {
             t.group_records.record(records);
         }
     }
 
     /// Hit/miss counters of the inode-layer buffer cache under this store.
-    pub fn cache_stats(&self) -> rgpdos_blockdev::CacheStats {
+    pub fn cache_stats(&self) -> rgpdos_inode::CacheStats {
         self.fs.cache_stats()
     }
 
@@ -1489,7 +1498,7 @@ impl<D: BlockDevice> Dbfs<D> {
                 }
             }
         }
-        DbfsStatsInner::bump(&self.stats.insert_batches);
+        self.stats.insert_batches.inc();
         self.account_inserts(&committed);
         match failure {
             None => Ok(ids),
@@ -1584,7 +1593,7 @@ impl<D: BlockDevice> Dbfs<D> {
             }
         }
         for (id, subject) in &committed {
-            DbfsStatsInner::bump(&self.stats.updates);
+            self.stats.updates.inc();
             self.audit.record(
                 self.clock.now(),
                 Some(*subject),
@@ -1773,7 +1782,7 @@ impl<D: BlockDevice> Dbfs<D> {
     /// after the commit — a crashed insert is never audited).
     fn account_inserts(&self, committed: &[(PdId, SubjectId)]) {
         for (id, subject) in committed {
-            DbfsStatsInner::bump(&self.stats.collects);
+            self.stats.collects.inc();
             self.audit.record(
                 self.clock.now(),
                 Some(*subject),
@@ -1799,7 +1808,7 @@ impl<D: BlockDevice> Dbfs<D> {
     /// beat the payload read.
     pub fn get(&self, data_type: &DataTypeId, id: PdId) -> Result<PdRecord, DbfsError> {
         let _timer = self.op_timer("get");
-        DbfsStatsInner::bump(&self.stats.reads);
+        self.stats.reads.inc();
         let snapshot = self.read_snapshot();
         let location = snapshot.locate(data_type, id)?;
         let stored = self.read_stored(location.ino);
@@ -1874,7 +1883,7 @@ impl<D: BlockDevice> Dbfs<D> {
         let _timer = self.op_timer("load_membrane");
         let snapshot = self.read_snapshot();
         let location = snapshot.locate(data_type, id)?;
-        DbfsStatsInner::bump(&self.stats.membrane_loads);
+        self.stats.membrane_loads.inc();
         self.read_membrane_checked(&snapshot, id, location.ino)
     }
 
@@ -1886,7 +1895,7 @@ impl<D: BlockDevice> Dbfs<D> {
     ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
         let mut out = Vec::with_capacity(locations.len());
         for (id, ino) in locations {
-            DbfsStatsInner::bump(&self.stats.membrane_loads);
+            self.stats.membrane_loads.inc();
             out.push((id, self.read_membrane_checked(snapshot, id, ino)?));
         }
         Ok(out)
@@ -1943,7 +1952,7 @@ impl<D: BlockDevice> Dbfs<D> {
             .collect::<Result<_, _>>()?;
         let mut batch = RecordBatch::new();
         for (id, ino, was_erased) in locations {
-            DbfsStatsInner::bump(&self.stats.reads);
+            self.stats.reads.inc();
             let stored = self.read_stored(ino);
             if !was_erased && self.erased_since(&snapshot, id) {
                 return Err(DbfsError::Erased { id: id.raw() });
@@ -1984,7 +1993,7 @@ impl<D: BlockDevice> Dbfs<D> {
             tx.commit()?;
             location
         };
-        DbfsStatsInner::bump(&self.stats.updates);
+        self.stats.updates.inc();
         self.audit.record(
             self.clock.now(),
             Some(location.subject),
@@ -2072,7 +2081,7 @@ impl<D: BlockDevice> Dbfs<D> {
         let copy_membrane = stored.membrane.for_copy(id);
         let new_id =
             self.store_wrapped(data_type, WrappedPd::new(stored.row, copy_membrane), true)?;
-        DbfsStatsInner::bump(&self.stats.copies);
+        self.stats.copies.inc();
         self.audit.record(
             self.clock.now(),
             Some(location.subject),
@@ -2201,7 +2210,7 @@ impl<D: BlockDevice> Dbfs<D> {
     /// audited).
     fn audit_erasures(&self, done: &[(PdId, SubjectId)]) {
         for (erased_id, subject) in done {
-            DbfsStatsInner::bump(&self.stats.erasures);
+            self.stats.erasures.inc();
             self.audit.record(
                 self.clock.now(),
                 Some(*subject),
@@ -2319,7 +2328,7 @@ impl<D: BlockDevice> Dbfs<D> {
             // Reported when erased by this iteration, or earlier in this
             // sweep as the expired copy of another expired record.
             if reached_earlier || swept.contains(&id) {
-                DbfsStatsInner::bump(&self.stats.expirations);
+                self.stats.expirations.inc();
                 self.audit
                     .record(now, Some(subject), AuditEventKind::Expired { pd: id });
                 expired.push(id);
@@ -2404,7 +2413,7 @@ impl<D: BlockDevice> Dbfs<D> {
     /// requested view does not exist).
     pub fn query(&self, request: &QueryRequest) -> Result<RecordBatch, DbfsError> {
         let _timer = self.op_timer("query");
-        DbfsStatsInner::bump(&self.stats.queries);
+        self.stats.queries.inc();
         let schema = self.schema(&request.data_type)?;
         let view = match &request.view {
             Some(view_name) => Some(schema.view(view_name).cloned().ok_or(
@@ -2636,7 +2645,7 @@ impl<D: BlockDevice> Dbfs<D> {
     /// routing layer (e.g. a completed cross-shard erase intent), surfacing
     /// it in [`DbfsStats::recovered_txs`].
     pub fn note_recovered_tx(&self) {
-        DbfsStatsInner::bump(&self.stats.recovered_txs);
+        self.stats.recovered_txs.inc();
     }
 
     // ------------------------------------------------------------------
@@ -3999,12 +4008,41 @@ mod tests {
         let scrubber =
             crate::scrub::Scrubber::spawn(Arc::clone(&dbfs), std::time::Duration::from_millis(1));
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while dbfs.tombstones_reclaimed() == 0 && std::time::Instant::now() < deadline {
+        // The scrubber thread adds a pass to its own tally only after the
+        // pass returns, so wait for both counters.
+        while (dbfs.tombstones_reclaimed() == 0 || scrubber.reclaimed() == 0)
+            && std::time::Instant::now() < deadline
+        {
             std::thread::yield_now();
         }
         assert_eq!(dbfs.tombstones_reclaimed(), 1);
         assert!(scrubber.reclaimed() >= 1);
         drop(scrubber);
         dbfs.verify_index_invariants().unwrap();
+    }
+
+    #[test]
+    fn first_attached_trace_wins() {
+        let dbfs = dbfs();
+        let (a, b) = (rgpdos_trace::TraceCtx::sim(), rgpdos_trace::TraceCtx::sim());
+        dbfs.attach_trace(&a);
+        dbfs.attach_trace_as(&b, &[("shard", "1")]);
+        for year in 1980..1983 {
+            dbfs.collect("user", SubjectId::new(1), user_row("once", year))
+                .unwrap();
+        }
+        dbfs.query(&QueryRequest::all("user")).unwrap();
+        let op_count = |op: &str| {
+            a.registry
+                .histogram_summary("dbfs_op_us", &[("op", op)])
+                .map(|summary| summary.count)
+        };
+        assert_eq!(op_count("collect"), Some(3));
+        assert_eq!(op_count("query"), Some(1));
+        let (counters, _, _) = a.registry.collect();
+        assert_eq!(counters["dbfs_collects"], 3);
+        let (counters, gauges, histograms) = b.registry.collect();
+        assert!(counters.is_empty() && gauges.is_empty() && histograms.is_empty());
+        assert!(b.tracer.snapshot().is_empty());
     }
 }

@@ -8,7 +8,6 @@
 
 use rgpdos_trace::{Counter, Registry};
 use std::fmt;
-use std::ops::{Add, AddAssign};
 
 /// Counters of DBFS operations since format/mount.
 #[derive(Debug, Default)]
@@ -76,20 +75,6 @@ impl DbfsStats {
     }
 }
 
-impl Add for DbfsStats {
-    type Output = DbfsStats;
-
-    fn add(self, other: DbfsStats) -> DbfsStats {
-        self.merge(other)
-    }
-}
-
-impl AddAssign for DbfsStats {
-    fn add_assign(&mut self, other: DbfsStats) {
-        *self = self.merge(other);
-    }
-}
-
 impl DbfsStatsInner {
     pub(crate) fn snapshot(&self) -> DbfsStats {
         DbfsStats {
@@ -105,10 +90,6 @@ impl DbfsStatsInner {
             journal_replays: self.journal_replays.get(),
             recovered_txs: self.recovered_txs.get(),
         }
-    }
-
-    pub(crate) fn bump(counter: &Counter) {
-        counter.inc();
     }
 
     /// Adopts every counter into `registry` under its canonical
@@ -160,9 +141,9 @@ mod tests {
     #[test]
     fn snapshot_reflects_bumps() {
         let inner = DbfsStatsInner::default();
-        DbfsStatsInner::bump(&inner.collects);
-        DbfsStatsInner::bump(&inner.collects);
-        DbfsStatsInner::bump(&inner.erasures);
+        inner.collects.inc();
+        inner.collects.inc();
+        inner.erasures.inc();
         let snap = inner.snapshot();
         assert_eq!(snap.collects, 2);
         assert_eq!(snap.erasures, 1);
@@ -210,13 +191,7 @@ mod tests {
         assert_eq!(merged.queries, 88);
         assert_eq!(merged.journal_replays, 99);
         assert_eq!(merged.recovered_txs, 110);
-        // `+` and `+=` agree with `merge`, and the identity element is the
-        // default snapshot.
-        assert_eq!(a + b, merged);
-        let mut acc = DbfsStats::default();
-        acc += a;
-        acc += b;
-        assert_eq!(acc, merged);
-        assert_eq!(a + DbfsStats::default(), a);
+        // The identity element is the default snapshot.
+        assert_eq!(a.merge(DbfsStats::default()), a);
     }
 }

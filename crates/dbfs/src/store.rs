@@ -41,8 +41,10 @@ pub trait PdStore: Send + Sync {
 
     /// Routes the store's instrumentation through a trace context: op
     /// latency histograms, commit latency, cache and stats counters —
-    /// labeled per backing instance for partitioned stores.  The default
-    /// is a no-op so minimal stores stay trivially conformant.
+    /// labeled per backing instance for partitioned stores.  A store is
+    /// traced into at most one context: the first attach wins and later
+    /// calls register nothing.  The default is a no-op so minimal stores
+    /// stay trivially conformant.
     fn attach_trace(&self, ctx: &rgpdos_trace::TraceCtx) {
         let _ = ctx;
     }

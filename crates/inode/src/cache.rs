@@ -29,9 +29,43 @@
 //! exists so tests can scan the cache the way `scan_for_pattern` scans the
 //! raw device.
 
-use rgpdos_blockdev::CacheStats;
 use rgpdos_trace::Counter;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+
+/// Hit/miss counters of a [`BlockCache`], as reported by
+/// [`crate::fs::InodeFs::cache_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups served from the cache.
+    pub hits: u64,
+    /// Lookups that had to go to the device.
+    pub misses: u64,
+}
+
+impl CacheStats {
+    /// Fraction of lookups served from the cache (`0.0` when idle).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
+impl fmt::Display for CacheStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "hits={} misses={} hit_rate={:.1}%",
+            self.hits,
+            self.misses,
+            self.hit_rate() * 100.0
+        )
+    }
+}
 
 /// Default cache capacity, in blocks, used by a freshly formatted or
 /// mounted [`crate::fs::InodeFs`].
@@ -90,8 +124,9 @@ impl BlockCache {
         self.blocks.is_empty()
     }
 
-    /// Hit/miss counters since creation (or the last [`BlockCache::clear`]
-    /// does *not* reset them — counters are cumulative).
+    /// Hit/miss counters since creation.  They are cumulative:
+    /// [`BlockCache::clear`] and [`BlockCache::set_capacity`] do not reset
+    /// them.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.get(),
@@ -257,6 +292,14 @@ mod tests {
         // A disabled cache does not even count misses: there is no cache to
         // miss in.
         assert_eq!(cache.stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn cache_stats_hit_rate_and_display() {
+        let stats = CacheStats { hits: 1, misses: 1 };
+        assert!((stats.hit_rate() - 0.5).abs() < f64::EPSILON);
+        assert_eq!(CacheStats::default().hit_rate(), 0.0);
+        assert_eq!(stats.to_string(), "hits=1 misses=1 hit_rate=50.0%");
     }
 
     #[test]

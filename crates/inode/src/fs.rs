@@ -15,7 +15,7 @@
 //!   with both enabled it behaves the way rgpdOS's DBFS requires.
 
 use crate::bitmap::Bitmap;
-use crate::cache::{BlockCache, DEFAULT_CACHE_BLOCKS};
+use crate::cache::{BlockCache, CacheStats, DEFAULT_CACHE_BLOCKS};
 use crate::error::InodeError;
 use crate::inode::{Ino, Inode, InodeKind};
 use crate::journal::{
@@ -24,10 +24,10 @@ use crate::journal::{
 use crate::layout::{Layout, DIRECT_POINTERS, INODE_SIZE};
 use crate::superblock::Superblock;
 use parking_lot::Mutex;
-use rgpdos_blockdev::{BlockDevice, CacheStats};
+use rgpdos_blockdev::BlockDevice;
 use rgpdos_trace::{Counter, Hist, TraceClock, TraceCtx, Tracer};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The inode number of the root directory created by `format`.
 pub const ROOT_INO: Ino = 0;
@@ -127,15 +127,15 @@ pub struct InodeFs<D> {
     journal_txs: Counter,
     /// Number of journal transactions replayed by `mount` (crash recovery).
     recovered_txs: u64,
-    /// Commit-path instrumentation, when attached (see
-    /// [`InodeFs::attach_trace`]).  `None` costs one uncontended lock per
-    /// journaled commit and nothing else.
-    trace: Mutex<Option<FsTrace>>,
+    /// Commit-path instrumentation, set once by the first
+    /// [`InodeFs::attach_trace`].  Unset, a journaled commit pays one
+    /// lock-free load and nothing else.
+    trace: OnceLock<FsTrace>,
 }
 
 /// The handles [`InodeFs::attach_trace`] installs: the commit-latency
 /// histogram, the phase-span tracer, and the clock both read.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct FsTrace {
     clock: Arc<TraceClock>,
     tracer: Arc<Tracer>,
@@ -284,7 +284,7 @@ impl<D: BlockDevice> InodeFs<D> {
             cache: Mutex::new(BlockCache::new(DEFAULT_CACHE_BLOCKS)),
             journal_txs: Counter::new(),
             recovered_txs: 0,
-            trace: Mutex::new(None),
+            trace: OnceLock::new(),
         })
     }
 
@@ -401,7 +401,7 @@ impl<D: BlockDevice> InodeFs<D> {
             cache: Mutex::new(BlockCache::new(DEFAULT_CACHE_BLOCKS)),
             journal_txs: Counter::new(),
             recovered_txs,
-            trace: Mutex::new(None),
+            trace: OnceLock::new(),
         })
     }
 
@@ -456,7 +456,22 @@ impl<D: BlockDevice> InodeFs<D> {
     /// journal→apply→flush→checkpoint phase spans.  `labels` distinguishes
     /// instances (e.g. `shard="2"`); the trace layer itself performs no
     /// device I/O.
+    ///
+    /// The first attach wins: a later call is a no-op that registers
+    /// nothing in its `ctx`.
     pub fn attach_trace(&self, ctx: &TraceCtx, labels: &[(&str, &str)]) {
+        let mut first = false;
+        self.trace.get_or_init(|| {
+            first = true;
+            FsTrace {
+                clock: Arc::clone(&ctx.clock),
+                tracer: Arc::clone(&ctx.tracer),
+                commit_us: ctx.registry.histogram_with("fs_commit_latency_us", labels),
+            }
+        });
+        if !first {
+            return;
+        }
         let (hits, misses) = self.cache.lock().counters();
         ctx.registry.adopt_counter("fs_cache_hits", labels, &hits);
         ctx.registry
@@ -466,11 +481,6 @@ impl<D: BlockDevice> InodeFs<D> {
         ctx.registry
             .gauge_with("fs_recovered_txs", labels)
             .set(self.recovered_txs as i64);
-        *self.trace.lock() = Some(FsTrace {
-            clock: Arc::clone(&ctx.clock),
-            tracer: Arc::clone(&ctx.tracer),
-            commit_us: ctx.registry.histogram_with("fs_commit_latency_us", labels),
-        });
     }
 
     // ------------------------------------------------------------------
@@ -1273,10 +1283,10 @@ impl<D: BlockDevice> InodeFs<D> {
         let block_size = self.layout.block_size;
         let journal_capacity = (self.layout.journal_blocks.saturating_sub(2)) as usize;
         let chunk_size = max_targets_per_tx(block_size).min(journal_capacity).max(1);
-        let trace = self.trace.lock().clone();
+        let trace = self.trace.get();
         for chunk in writes.chunks(chunk_size) {
-            let commit_span = trace.as_ref().map(|t| t.tracer.span("fs_commit"));
-            let commit_start = trace.as_ref().map(|t| t.clock.now_us());
+            let commit_span = trace.map(|t| t.tracer.span("fs_commit"));
+            let commit_start = trace.map(|t| t.clock.now_us());
             let needed = chunk.len() as u64 + 2;
             let mut pos = state.superblock.journal_write_ptr;
             if pos + needed > self.layout.journal_blocks {
@@ -1286,7 +1296,7 @@ impl<D: BlockDevice> InodeFs<D> {
             let targets: Vec<u64> = chunk.iter().map(|(b, _)| *b).collect();
 
             // 1. Journal records.
-            let journal_span = trace.as_ref().map(|t| t.tracer.span("fs_journal"));
+            let journal_span = trace.map(|t| t.tracer.span("fs_journal"));
             self.device.write_block(
                 self.layout.journal_start + pos,
                 &encode_header(tx_id, &targets, block_size),
@@ -1312,7 +1322,7 @@ impl<D: BlockDevice> InodeFs<D> {
             // crypto-erasure reaches the cache — a tombstone or
             // zero-on-free write replaces whatever plaintext the cache
             // held for that block.
-            let apply_span = trace.as_ref().map(|t| t.tracer.span("fs_apply"));
+            let apply_span = trace.map(|t| t.tracer.span("fs_apply"));
             {
                 let mut cache = self.cache.lock();
                 for (target, _) in chunk {
@@ -1325,7 +1335,7 @@ impl<D: BlockDevice> InodeFs<D> {
                 self.device.write_block(*target, &padded)?;
             }
             drop(apply_span);
-            let flush_span = trace.as_ref().map(|t| t.tracer.span("fs_flush"));
+            let flush_span = trace.map(|t| t.tracer.span("fs_flush"));
             self.device.flush()?;
             drop(flush_span);
             {
@@ -1343,7 +1353,7 @@ impl<D: BlockDevice> InodeFs<D> {
             self.journal_txs.inc();
 
             // 3. Checkpoint record in the superblock.
-            let checkpoint_span = trace.as_ref().map(|t| t.tracer.span("fs_checkpoint"));
+            let checkpoint_span = trace.map(|t| t.tracer.span("fs_checkpoint"));
             state.superblock.last_started_tx = tx_id;
             state.superblock.last_applied_tx = tx_id;
             state.superblock.last_tx_offset = pos;
@@ -1361,7 +1371,7 @@ impl<D: BlockDevice> InodeFs<D> {
             }
             self.device.flush()?;
             drop(checkpoint_span);
-            if let (Some(t), Some(start)) = (&trace, commit_start) {
+            if let (Some(t), Some(start)) = (trace, commit_start) {
                 t.commit_us.record(t.clock.now_us().saturating_sub(start));
             }
             drop(commit_span);
@@ -1434,6 +1444,25 @@ mod tests {
         assert_eq!(snap.counters["fs_cache_hits{shard=\"0\"}"], stats.hits);
         assert_eq!(snap.counters["fs_cache_misses{shard=\"0\"}"], stats.misses);
         assert_eq!(snap.gauges["fs_recovered_txs{shard=\"0\"}"], 0);
+    }
+
+    #[test]
+    fn first_attached_trace_wins() {
+        let fs = small_fs();
+        let (a, b) = (TraceCtx::sim(), TraceCtx::sim());
+        fs.attach_trace(&a, &[]);
+        fs.attach_trace(&b, &[("shard", "1")]);
+        let ino = fs.alloc_inode(InodeKind::File).unwrap();
+        fs.write(ino, 0, b"attached once").unwrap();
+        let commit = a
+            .registry
+            .histogram_summary("fs_commit_latency_us", &[])
+            .unwrap();
+        assert!(commit.count > 0);
+        assert_eq!(commit.count, fs.journal_txs());
+        let (counters, gauges, histograms) = b.registry.collect();
+        assert!(counters.is_empty() && gauges.is_empty() && histograms.is_empty());
+        assert!(b.tracer.snapshot().is_empty());
     }
 
     #[test]

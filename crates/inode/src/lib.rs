@@ -56,7 +56,7 @@ pub mod journal;
 pub mod layout;
 pub mod superblock;
 
-pub use cache::BlockCache;
+pub use cache::{BlockCache, CacheStats};
 pub use error::InodeError;
 pub use fs::{FormatParams, InodeFs, Transaction, TxSavepoint};
 pub use inode::{Ino, Inode, InodeKind};

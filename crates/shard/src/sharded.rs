@@ -20,7 +20,7 @@ use rgpdos_dbfs::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Per-shard batch slots handed to the worker pool: each involved shard
 /// `take()`s its slot exactly once, so row payloads move instead of clone.
@@ -227,14 +227,14 @@ pub struct ShardedDbfs<D: BlockDevice + 'static> {
     /// a failed intent write can then safely retract exactly the tombstone
     /// marks it pre-announced.
     erasures: Mutex<()>,
-    /// Router-level observability, attached post-construction via
-    /// [`ShardedDbfs::attach_trace`].  `None` until then.
-    trace: Mutex<Option<ShardTrace>>,
+    /// Router-level observability, set once by the first
+    /// [`ShardedDbfs::attach_trace`].  Unset until then.
+    trace: OnceLock<ShardTrace>,
 }
 
 /// Router-level trace handles: the tracer for scatter-gather spans and the
 /// fan-out histogram (how many shards each routed query touched).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ShardTrace {
     tracer: Arc<rgpdos_trace::Tracer>,
     fanout: rgpdos_trace::Hist,
@@ -413,7 +413,7 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
             audit,
             next_copy: AtomicUsize::new(0),
             erasures: Mutex::new_named("cross-shard-erasures", ()),
-            trace: Mutex::new_named("sharded-trace", None),
+            trace: OnceLock::new(),
         }
     }
 
@@ -583,7 +583,21 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
     /// and the router itself records scatter-gather spans plus a
     /// `shard_query_fanout` histogram of how many shards each query
     /// touched.
+    ///
+    /// The first attach wins: a later call is a no-op that registers
+    /// nothing in its `ctx`.
     pub fn attach_trace(&self, ctx: &rgpdos_trace::TraceCtx) {
+        let mut first = false;
+        self.trace.get_or_init(|| {
+            first = true;
+            ShardTrace {
+                tracer: Arc::clone(&ctx.tracer),
+                fanout: ctx.registry.histogram("shard_query_fanout"),
+            }
+        });
+        if !first {
+            return;
+        }
         for (i, shard) in self.shards.iter().enumerate() {
             let index = i.to_string();
             shard.attach_trace_as(ctx, &[("shard", &index)]);
@@ -601,10 +615,6 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         ctx.registry
             .gauge("shard_count")
             .set(i64::try_from(self.shards.len()).unwrap_or(i64::MAX));
-        *self.trace.lock() = Some(ShardTrace {
-            tracer: Arc::clone(&ctx.tracer),
-            fanout: ctx.registry.histogram("shard_query_fanout"),
-        });
     }
 
     // ------------------------------------------------------------------
@@ -1342,21 +1352,22 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
             involved.dedup();
             involved
         };
-        let trace = self.trace.lock().clone();
-        let scatter_span = trace.as_ref().map(|t| t.tracer.span("shard_query_scatter"));
-        if let Some(t) = &trace {
+        let trace = self.trace.get();
+        let scatter_span = trace.map(|t| t.tracer.span("shard_query_scatter"));
+        if let Some(t) = trace {
             t.fanout.record(involved.len() as u64);
         }
         // Pool workers run on their own threads, so the per-leg spans name
         // the scatter span as parent explicitly rather than relying on the
         // tracer's per-thread nesting stack.
         let parent = scatter_span.as_ref().map(rgpdos_trace::SpanGuard::id);
-        let legs = trace.clone();
+        // The scatter closure is `'static`: it takes its own tracer handle.
+        let legs = trace.map(|t| Arc::clone(&t.tracer));
         let request = Arc::new(request.clone());
         let results = self.pool.scatter_on(&involved, move |_, dbfs| {
             let leg = legs
                 .as_ref()
-                .map(|t| t.tracer.span_with_parent("shard_query_leg", parent));
+                .map(|tracer| tracer.span_with_parent("shard_query_leg", parent));
             let result = dbfs.query(&request);
             drop(leg);
             result

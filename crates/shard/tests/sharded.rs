@@ -414,6 +414,32 @@ fn pd_store_trait_object_surface_works_for_the_sharded_store() {
 }
 
 #[test]
+fn first_attached_trace_wins() {
+    use rgpdos_trace::TraceCtx;
+    let sharded = sharded(2);
+    let (a, b) = (TraceCtx::sim(), TraceCtx::sim());
+    sharded.attach_trace(&a);
+    sharded.attach_trace(&b);
+    for raw in 0..4u64 {
+        sharded
+            .collect("user", SubjectId::new(raw), user_row(&format!("o{raw}")))
+            .unwrap();
+    }
+    sharded.query(&QueryRequest::all("user")).unwrap();
+    sharded
+        .query(&QueryRequest::all("user").for_subject(SubjectId::new(1)))
+        .unwrap();
+    let fanout = a
+        .registry
+        .histogram_summary("shard_query_fanout", &[])
+        .unwrap();
+    assert_eq!(fanout.count, 2);
+    let (counters, gauges, histograms) = b.registry.collect();
+    assert!(counters.is_empty() && gauges.is_empty() && histograms.is_empty());
+    assert!(b.tracer.snapshot().is_empty());
+}
+
+#[test]
 fn attached_trace_labels_shards_and_records_scatter_fanout() {
     use rgpdos_trace::TraceCtx;
     let sharded = sharded(3);

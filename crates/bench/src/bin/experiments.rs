@@ -615,7 +615,8 @@ fn s3(report: &mut BenchReport) {
         device.reset_stats();
         let start = Instant::now();
         for (subject, row) in rows.clone() {
-            dbfs.collect("user", subject, row).expect("per-op collect");
+            dbfs.collect(&"user".into(), subject, row)
+                .expect("per-op collect");
         }
         let (commit_p50_us, commit_p99_us) = commit_latency(&ctx);
         let per_op = IngestRun {
@@ -634,7 +635,9 @@ fn s3(report: &mut BenchReport) {
         let (dbfs, device, ctx) = fresh_dbfs(records);
         device.reset_stats();
         let start = Instant::now();
-        let ids = dbfs.collect_many("user", rows).expect("batched collect");
+        let ids = dbfs
+            .collect_many(&"user".into(), rows)
+            .expect("batched collect");
         assert_eq!(ids.len(), records);
         let (commit_p50_us, commit_p99_us) = commit_latency(&ctx);
         let batched = IngestRun {
@@ -734,7 +737,7 @@ fn s3(report: &mut BenchReport) {
     let start = Instant::now();
     for (subject, row) in rows.clone() {
         sharded
-            .collect("user", subject, row)
+            .collect(&"user".into(), subject, row)
             .expect("per-op sharded collect");
     }
     let per_op = measure_sharded(
@@ -754,7 +757,7 @@ fn s3(report: &mut BenchReport) {
     let (sharded, devices, ctx) = fresh_sharded();
     let start = Instant::now();
     let ids = sharded
-        .collect_many("user", rows)
+        .collect_many(&"user".into(), rows)
         .expect("batched sharded collect");
     assert_eq!(ids.len(), records);
     let batched = measure_sharded(
@@ -885,7 +888,7 @@ fn s4(report: &mut BenchReport) {
                 )
             })
             .collect();
-        let ids = Arc::new(dbfs.collect_many("user", rows).expect("s4 preload"));
+        let ids = Arc::new(dbfs.collect_many(&"user".into(), rows).expect("s4 preload"));
         (Arc::new(dbfs), ids)
     };
     let user = rgpdos::core::DataTypeId::from("user");
@@ -905,7 +908,7 @@ fn s4(report: &mut BenchReport) {
                 std::thread::spawn(move || {
                     for op in 0..READ_OPS_PER_THREAD {
                         if op % 64 == 63 {
-                            std::hint::black_box(dbfs.count(&user));
+                            std::hint::black_box(dbfs.count(&user).expect("s4 count"));
                             let batch = dbfs
                                 .query(
                                     &QueryRequest::all(user.clone())
@@ -958,7 +961,7 @@ fn s4(report: &mut BenchReport) {
                                 )
                             })
                             .collect();
-                        dbfs.collect_many("user", rows)
+                        dbfs.collect_many(&"user".into(), rows)
                             .unwrap_or_else(|e| panic!("s4 group write: {e}"));
                     }
                 })

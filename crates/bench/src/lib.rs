@@ -197,7 +197,7 @@ pub fn scaling_scenario(
     let target_gen = MultiTableWorkload::new(1, target_records).with_payload_bytes(1_024);
     let target: DataTypeId = MultiTableWorkload::table_name(0).as_str().into();
     dbfs.create_type(target_gen.schema(0)).expect("target type");
-    dbfs.collect_many(target.clone(), target_gen.rows(0).collect())
+    dbfs.collect_many(&target, target_gen.rows(0).collect())
         .expect("collect target rows");
 
     let other_gen = MultiTableWorkload::new(other_tables + 1, records_per_other_table)
@@ -206,7 +206,7 @@ pub fn scaling_scenario(
         dbfs.create_type(other_gen.schema(table))
             .expect("other type");
         let name: DataTypeId = MultiTableWorkload::table_name(table).as_str().into();
-        dbfs.collect_many(name, other_gen.rows(table).collect())
+        dbfs.collect_many(&name, other_gen.rows(table).collect())
             .expect("collect other rows");
     }
 
@@ -287,7 +287,7 @@ pub fn sharded_scaling_scenario(
     // Batched ingest via the router's scatter-write path (per-shard group
     // commit) — the same API the S3 experiment measures.
     dbfs.collect_many(
-        "user",
+        &"user".into(),
         (0..target_records)
             .map(|record| {
                 (
@@ -322,7 +322,7 @@ pub fn sharded_scaling_scenario(
             (mapped, row)
         })
         .collect();
-    dbfs.collect_many("user", skewed_rows)
+    dbfs.collect_many(&"user".into(), skewed_rows)
         .expect("collect skewed rows");
 
     ShardedScalingScenario {
@@ -607,7 +607,7 @@ mod tests {
     fn scenarios_build_and_run() {
         let scenario = rgpdos_scenario(20, 0.8, DbfsParams::small());
         assert_eq!(scenario.population.len(), 20);
-        assert_eq!(scenario.os.dbfs().count(&"user".into()), 20);
+        assert_eq!(scenario.os.dbfs().count(&"user".into()).unwrap(), 20);
         let result = scenario
             .os
             .invoke(scenario.compute_age, InvokeRequest::whole_type())
@@ -707,7 +707,7 @@ mod tests {
         let subjects: Vec<SubjectId> = (0..4).map(SubjectId::new).collect();
         for &subject in &subjects {
             dbfs.collect(
-                "user",
+                &"user".into(),
                 subject,
                 Row::new()
                     .with("name", "mixed")

@@ -16,7 +16,7 @@
 use rgpdos::blockdev::MemDevice;
 use rgpdos::core::schema::listing1_user_schema;
 use rgpdos::core::{Row, SubjectId};
-use rgpdos::dbfs::{Dbfs, DbfsParams};
+use rgpdos::dbfs::{Dbfs, DbfsParams, PdStore};
 use rgpdos_conc::{spawn, Checker};
 use std::sync::Arc;
 
@@ -42,14 +42,14 @@ fn group_commit_model() {
             .map(|i| (SubjectId::new(i % 3), user_row(&format!("batch{i}"))))
             .collect();
         batch_store
-            .collect_many("user", rows)
+            .collect_many(&"user".into(), rows)
             .expect("batched insert")
     });
 
     let single_store = Arc::clone(&dbfs);
     let single = spawn(move || {
         single_store
-            .collect("user", SubjectId::new(9), user_row("solo"))
+            .collect(&"user".into(), SubjectId::new(9), user_row("solo"))
             .expect("single insert")
     });
 
@@ -57,7 +57,7 @@ fn group_commit_model() {
     ids.push(single.join());
 
     // Both writers landed, ids are unique, every record is readable.
-    assert_eq!(dbfs.count(&"user".into()), 7, "a record was lost");
+    assert_eq!(dbfs.count(&"user".into()).unwrap(), 7, "a record was lost");
     let mut unique = ids.clone();
     unique.sort_unstable();
     unique.dedup();

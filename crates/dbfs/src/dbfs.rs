@@ -17,8 +17,8 @@
 //!
 //! Every mutation stages its block writes in a compound transaction of the
 //! inode layer and commits them as one journal transaction.  The batched
-//! APIs ([`Dbfs::collect_many`], [`Dbfs::insert_many`],
-//! [`Dbfs::update_rows`]) go further: N independent mutations share one
+//! APIs ([`PdStore::collect_many`], [`PdStore::insert_many`],
+//! [`PdStore::update_rows`]) go further: N independent mutations share one
 //! compound transaction — a **group commit** — cut at the journal-capacity
 //! bound, so ingest costs one journal round-trip per *group* instead of
 //! per record while each record stays individually crash-atomic.
@@ -27,6 +27,7 @@ use crate::error::DbfsError;
 use crate::query::QueryRequest;
 use crate::scrub::{ScrubReport, SpaceGauges, SpaceStats};
 use crate::stats::{DbfsStats, DbfsStatsInner};
+use crate::store::PdStore;
 use parking_lot::{Mutex, RwLock};
 use rgpdos_blockdev::BlockDevice;
 use rgpdos_core::record::stored;
@@ -629,7 +630,7 @@ pub struct Dbfs<D> {
     /// stays zero across its read phase.
     index_lock_holds: std::sync::atomic::AtomicU64,
     /// Space-accounting gauges (`space_amplification`,
-    /// `tombstones_reclaimed`), refreshed by [`Dbfs::space_stats`] and every
+    /// `tombstones_reclaimed`), refreshed by [`PdStore::space_stats`] and every
     /// scrub pass.  `Arc`'d so gauge closures observe them without
     /// borrowing `self` — and without any device I/O.
     space: Arc<SpaceGauges>,
@@ -639,7 +640,7 @@ pub struct Dbfs<D> {
     trace: OnceLock<DbfsTrace>,
 }
 
-/// The handles [`Dbfs::attach_trace`] installs: one latency histogram per
+/// The handles [`Dbfs::attach_trace_as`] installs: one latency histogram per
 /// public operation plus the group-commit size distribution, all timed
 /// against the shared trace clock.
 #[derive(Debug)]
@@ -649,7 +650,7 @@ struct DbfsTrace {
     group_records: rgpdos_trace::Hist,
 }
 
-/// The public operations [`Dbfs::attach_trace`] gives a latency histogram
+/// The public operations [`Dbfs::attach_trace_as`] gives a latency histogram
 /// (`dbfs_op_us{op="<name>"}`).
 const DBFS_TRACED_OPS: [&str; 10] = [
     "collect",
@@ -1071,27 +1072,6 @@ impl<D: BlockDevice> Dbfs<D> {
         Ok(this)
     }
 
-    /// The clock DBFS uses to timestamp membranes.
-    pub fn clock(&self) -> Arc<LogicalClock> {
-        Arc::clone(&self.clock)
-    }
-
-    /// The audit log DBFS records storage events into.
-    pub fn audit(&self) -> AuditLog {
-        self.audit.clone()
-    }
-
-    /// Operation counters.
-    pub fn stats(&self) -> DbfsStats {
-        self.stats.snapshot()
-    }
-
-    /// Routes this store's instrumentation through `ctx` (the unlabeled
-    /// single-store form of [`Dbfs::attach_trace_as`]).
-    pub fn attach_trace(&self, ctx: &rgpdos_trace::TraceCtx) {
-        self.attach_trace_as(ctx, &[]);
-    }
-
     /// Routes this store's instrumentation through `ctx`: every
     /// [`DbfsStats`] counter is adopted into the registry (the old
     /// accessors keep reading the same atomics), the inode layer below is
@@ -1242,369 +1222,15 @@ impl<D: BlockDevice> Dbfs<D> {
         )
     }
 
-    // ------------------------------------------------------------------
-    // Schema management
-    // ------------------------------------------------------------------
-
-    /// Installs a personal-data type (creates its table).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::TypeAlreadyExists`] when the type exists.
-    pub fn create_type(&self, schema: DataTypeSchema) -> Result<(), DbfsError> {
-        let mut index = self.lock_index();
-        if index.tables.contains_key(schema.name()) {
-            return Err(DbfsError::TypeAlreadyExists {
-                name: schema.name().to_string(),
-            });
-        }
-        // The table subtree, its schema entry and the tables-tree link are
-        // created in one compound transaction: a crash never exposes a table
-        // without its schema.
-        let tx = self.fs.begin_tx();
-        let table_ino = self.fs.alloc_inode(InodeKind::Table)?;
-        self.fs
-            .dir_add(index.tables_ino, schema.name().as_str(), table_ino)?;
-        let schema_ino = self.fs.alloc_inode(InodeKind::Schema)?;
-        let bytes = serde_json::to_vec(&schema).map_err(|_| DbfsError::Corrupt {
-            what: "schema serialization".to_owned(),
-        })?;
-        self.fs.write_replace(schema_ino, &bytes)?;
-        self.fs.dir_add(table_ino, SCHEMA_ENTRY, schema_ino)?;
-        tx.commit()?;
-        Arc::make_mut(&mut index.tables).insert(schema.name().clone(), table_ino);
-        Arc::make_mut(&mut index.schemas).register(schema);
-        self.publish_locked(&mut index);
-        Ok(())
-    }
-
-    /// Returns the schema of a type.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownType`].
-    pub fn schema(&self, name: &DataTypeId) -> Result<DataTypeSchema, DbfsError> {
-        self.read_snapshot()
-            .schemas
-            .get(name)
-            .cloned()
-            .ok_or_else(|| DbfsError::UnknownType {
-                name: name.to_string(),
-            })
-    }
-
-    /// The installed type names.  Served from the published snapshot:
-    /// wait-free, never touches the index lock.
-    pub fn types(&self) -> Vec<DataTypeId> {
-        self.read_snapshot().tables.keys().cloned().collect()
-    }
-
-    /// Number of live (non-erased) records of a type.
-    ///
-    /// Served from the published snapshot, so the answer is
-    /// **batch-atomic**: a concurrent group commit is either fully counted
-    /// or not at all — a half-applied batch is never observed.
-    pub fn count(&self, name: &DataTypeId) -> usize {
-        let snapshot = self.read_snapshot();
-        snapshot.live_locations(snapshot.table_ids(name)).count()
-    }
-
-    /// Like [`Dbfs::count`] but distinguishing "table absent" from "table
-    /// empty" (routing layers need the difference to surface partial scatter
-    /// failures instead of silent undercounts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownType`] when the type is not installed.
-    pub fn try_count(&self, name: &DataTypeId) -> Result<usize, DbfsError> {
-        let snapshot = self.read_snapshot();
-        if !snapshot.tables.contains_key(name) {
-            return Err(DbfsError::UnknownType {
-                name: name.to_string(),
-            });
-        }
-        Ok(snapshot.live_locations(snapshot.table_ids(name)).count())
-    }
-
     /// The subjects that currently own at least one record.  Wait-free
-    /// (published snapshot), like [`Dbfs::types`].
+    /// (published snapshot), like [`PdStore::types`].
     pub fn subjects(&self) -> Vec<SubjectId> {
         self.read_snapshot().subjects.keys().copied().collect()
     }
 
     // ------------------------------------------------------------------
-    // Record lifecycle (the rgpdOS built-in functions)
+    // Record lifecycle helpers
     // ------------------------------------------------------------------
-
-    /// The `acquisition` built-in: stores a newly collected row, wrapping it
-    /// in the default membrane derived from its type's declaration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownType`] or [`DbfsError::Core`] when the row
-    /// does not match the schema.
-    pub fn collect(
-        &self,
-        data_type: impl Into<DataTypeId>,
-        subject: SubjectId,
-        row: Row,
-    ) -> Result<PdId, DbfsError> {
-        let _timer = self.op_timer("collect");
-        let data_type = data_type.into();
-        let now = self.clock.now();
-        let schema = self.schema(&data_type)?;
-        let membrane = Membrane::from_schema(&schema, subject, now);
-        self.store_wrapped(&data_type, WrappedPd::new(row, membrane), true)
-    }
-
-    /// Stores an already-wrapped record (used by the `copy` built-in and by
-    /// the DED when a processing produces new personal data).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Dbfs::collect`].
-    pub fn insert_wrapped(
-        &self,
-        data_type: &DataTypeId,
-        wrapped: WrappedPd,
-    ) -> Result<PdId, DbfsError> {
-        self.store_wrapped(data_type, wrapped, true)
-    }
-
-    /// Batched `acquisition`: collects every row under the default membrane
-    /// of `data_type`, coalescing the inserts into **group commits** — as
-    /// many records per journal transaction as the journal capacity allows
-    /// — instead of one journal transaction per record.  Returns the
-    /// assigned identifiers in input order.
-    ///
-    /// Crash semantics are unchanged from per-record [`Dbfs::collect`]:
-    /// each group is one compound transaction, so a crash leaves a clean
-    /// *prefix* of the batch (whole groups), never a torn record.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Dbfs::collect`].  On error, the items before the failing
-    /// one are still inserted (exactly as if collected sequentially).
-    pub fn collect_many(
-        &self,
-        data_type: impl Into<DataTypeId>,
-        rows: Vec<(SubjectId, Row)>,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        let data_type = data_type.into();
-        let schema = self.schema(&data_type)?;
-        let now = self.clock.now();
-        let items = rows
-            .into_iter()
-            .map(|(subject, row)| {
-                let membrane = Membrane::from_schema(&schema, subject, now);
-                (data_type.clone(), WrappedPd::new(row, membrane))
-            })
-            .collect();
-        self.insert_many(items)
-    }
-
-    /// Batched [`Dbfs::insert_wrapped`] with journal group commit: N
-    /// independent inserts are staged into one compound transaction and
-    /// journaled together, cutting a new group whenever the staged write
-    /// set would overflow [`rgpdos_inode::InodeFs::tx_capacity_blocks`]
-    /// (the crash-atomicity bound).  Returns the identifiers in input
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Dbfs::insert_wrapped`].  On error, the items staged
-    /// before the failing one are committed first (prefix semantics), the
-    /// failing item and everything after it are not applied.
-    pub fn insert_many(&self, items: Vec<(DataTypeId, WrappedPd)>) -> Result<Vec<PdId>, DbfsError> {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        let _timer = self.op_timer("insert_batch");
-        let capacity = self.fs.tx_capacity_blocks();
-        let mut ids = Vec::with_capacity(items.len());
-        let mut committed: Vec<(PdId, SubjectId)> = Vec::new();
-        let mut failure: Option<DbfsError> = None;
-        {
-            let mut index = self.lock_index();
-            let mut group = InsertGroup::starting_at(index.next_pd);
-            let mut tx = Some(self.fs.begin_tx());
-            for (data_type, wrapped) in &items {
-                let savepoint = self.fs.tx_savepoint();
-                let mark = group.mark();
-                let staged = self
-                    .check_insertable(&index, &group, data_type, wrapped, true)
-                    .and_then(|()| self.stage_wrapped(&index, &mut group, data_type, wrapped));
-                let id = match staged {
-                    Ok(id) => id,
-                    Err(e) => {
-                        // Unstage the partial writes of the failing record;
-                        // the group staged so far commits below (prefix
-                        // semantics, as if inserted sequentially).
-                        self.fs.tx_rollback_to(savepoint);
-                        group.rollback_to(mark, wrapped.membrane().subject());
-                        failure = Some(e);
-                        break;
-                    }
-                };
-                if self.fs.tx_staged_blocks() > capacity && mark.staged_len > 0 {
-                    // This record overflows the crash-atomic capacity of
-                    // the open group: unstage it, commit the group, then
-                    // re-stage it first into a fresh transaction.  (The
-                    // identifier is stable across the re-stage: the
-                    // counter rolls back and forward to the same value.)
-                    self.fs.tx_rollback_to(savepoint);
-                    group.rollback_to(mark, wrapped.membrane().subject());
-                    if let Err(e) = tx.take().expect("open group tx").commit() {
-                        failure = Some(e.into());
-                        break;
-                    }
-                    let full = std::mem::replace(&mut group, InsertGroup::starting_at(0));
-                    let before = committed.len();
-                    committed.extend(self.apply_group(&mut index, full));
-                    self.record_group_commit((committed.len() - before) as u64);
-                    // Each group-commit cut point publishes: concurrent
-                    // readers observe whole groups, never a partial batch.
-                    self.publish_locked(&mut index);
-                    group = InsertGroup::starting_at(index.next_pd);
-                    tx = Some(self.fs.begin_tx());
-                    let fresh = self.fs.tx_savepoint();
-                    match self.stage_wrapped(&index, &mut group, data_type, wrapped) {
-                        Ok(again) => debug_assert_eq!(again, id),
-                        Err(e) => {
-                            self.fs.tx_rollback_to(fresh);
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                }
-                ids.push(id);
-            }
-            // Commit whatever the last open group staged — on the happy
-            // path the batch's tail, on the error path the prefix before
-            // the failing item.
-            if let Some(tx) = tx.take() {
-                match tx.commit() {
-                    Ok(()) => {
-                        let before = committed.len();
-                        committed.extend(self.apply_group(&mut index, group));
-                        self.record_group_commit((committed.len() - before) as u64);
-                        self.publish_locked(&mut index);
-                    }
-                    Err(e) => {
-                        if failure.is_none() {
-                            failure = Some(e.into());
-                        }
-                    }
-                }
-            }
-        }
-        self.stats.insert_batches.inc();
-        self.account_inserts(&committed);
-        match failure {
-            None => Ok(ids),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// Batched [`Dbfs::update_row`] with journal group commit: the row
-    /// replacements are staged into shared compound transactions, cut at
-    /// the journal-capacity bound like [`Dbfs::insert_many`].  Every
-    /// update stays individually crash-atomic; a crash leaves a prefix of
-    /// whole groups applied.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Dbfs::update_row`] (`Erased`, `UnknownPd`, schema
-    /// violations).  On error, updates before the failing one are applied.
-    pub fn update_rows(
-        &self,
-        data_type: &DataTypeId,
-        updates: Vec<(PdId, Row)>,
-    ) -> Result<(), DbfsError> {
-        if updates.is_empty() {
-            return Ok(());
-        }
-        let schema = self.schema(data_type)?;
-        for (_, row) in &updates {
-            schema.validate_row(row)?;
-        }
-        let capacity = self.fs.tx_capacity_blocks();
-        let mut committed: Vec<(PdId, SubjectId)> = Vec::new();
-        let mut failure: Option<DbfsError> = None;
-        {
-            // Held across the whole batch, like the per-record path: no
-            // erasure or membrane change can interleave with the staged
-            // read-modify-writes.
-            let index = self.lock_index();
-            let mut tx = Some(self.fs.begin_tx());
-            let mut group: Vec<(PdId, SubjectId)> = Vec::new();
-            for (id, row) in &updates {
-                let savepoint = self.fs.tx_savepoint();
-                let staged = Self::locate_in(&index, data_type, *id).and_then(|location| {
-                    if location.erased {
-                        return Err(DbfsError::Erased { id: id.raw() });
-                    }
-                    let mut stored = self.read_stored(location.ino)?;
-                    stored.row = row.clone();
-                    self.write_stored(location.ino, &stored)?;
-                    Ok(location.subject)
-                });
-                let subject = match staged {
-                    Ok(subject) => subject,
-                    Err(e) => {
-                        self.fs.tx_rollback_to(savepoint);
-                        failure = Some(e);
-                        break;
-                    }
-                };
-                if self.fs.tx_staged_blocks() > capacity && !group.is_empty() {
-                    // Overflow: unstage this update, commit the group so
-                    // far, re-stage into a fresh transaction.
-                    self.fs.tx_rollback_to(savepoint);
-                    if let Err(e) = tx.take().expect("open group tx").commit() {
-                        failure = Some(e.into());
-                        break;
-                    }
-                    committed.append(&mut group);
-                    tx = Some(self.fs.begin_tx());
-                    let fresh = self.fs.tx_savepoint();
-                    let restaged = Self::locate_in(&index, data_type, *id).and_then(|location| {
-                        let mut stored = self.read_stored(location.ino)?;
-                        stored.row = row.clone();
-                        self.write_stored(location.ino, &stored)
-                    });
-                    if let Err(e) = restaged {
-                        self.fs.tx_rollback_to(fresh);
-                        failure = Some(e);
-                        break;
-                    }
-                }
-                group.push((*id, subject));
-            }
-            if let Some(tx) = tx.take() {
-                match tx.commit() {
-                    Ok(()) => committed.append(&mut group),
-                    Err(e) => {
-                        if failure.is_none() {
-                            failure = Some(e.into());
-                        }
-                    }
-                }
-            }
-        }
-        for (id, subject) in &committed {
-            self.stats.updates.inc();
-            self.audit.record(
-                self.clock.now(),
-                Some(*subject),
-                AuditEventKind::Updated { pd: *id },
-            );
-        }
-        match failure {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
 
     fn store_wrapped(
         &self,
@@ -1791,102 +1417,6 @@ impl<D: BlockDevice> Dbfs<D> {
         }
     }
 
-    /// Reads one record (payload + membrane).
-    ///
-    /// The block location is resolved from the published snapshot and the
-    /// device is read with **no lock held**.  Because a crypto-erase can
-    /// commit concurrently (scrubbing — and possibly reusing — the very
-    /// blocks this read targets), the record's tombstone state is
-    /// re-validated against the *current* snapshot after the device read:
-    /// a record erased since the snapshot was cut returns
-    /// [`DbfsError::Erased`] instead of stale or reused payload bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`] when the id does not exist or belongs
-    /// to another type, and [`DbfsError::Erased`] when a concurrent erasure
-    /// beat the payload read.
-    pub fn get(&self, data_type: &DataTypeId, id: PdId) -> Result<PdRecord, DbfsError> {
-        let _timer = self.op_timer("get");
-        self.stats.reads.inc();
-        let snapshot = self.read_snapshot();
-        let location = snapshot.locate(data_type, id)?;
-        let stored = self.read_stored(location.ino);
-        if !location.erased && self.erased_since(&snapshot, id) {
-            return Err(DbfsError::Erased { id: id.raw() });
-        }
-        let stored = stored?;
-        Ok(PdRecord::new(
-            id,
-            data_type.clone(),
-            WrappedPd::new(stored.row, stored.membrane),
-        ))
-    }
-
-    /// The `ded_load_membrane` request: fetches only the membranes of a
-    /// table, so consent filtering can happen *before* any personal data is
-    /// read (data minimisation inside the OS itself).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownType`].
-    pub fn load_membranes(
-        &self,
-        data_type: &DataTypeId,
-    ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
-        let snapshot = self.read_snapshot();
-        if !snapshot.tables.contains_key(data_type) {
-            return Err(DbfsError::UnknownType {
-                name: data_type.to_string(),
-            });
-        }
-        let locations: Vec<(PdId, Ino)> = snapshot
-            .table_ids(data_type)
-            .filter_map(|id| snapshot.records.get(&id).map(|loc| (id, loc.ino)))
-            .collect();
-        self.read_membranes(&snapshot, locations)
-    }
-
-    /// Membrane-only load restricted to one subject's records of a type,
-    /// resolved through the subject index (used by subject-targeted
-    /// invocations and the rights engine).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownType`].
-    pub fn load_membranes_for_subject(
-        &self,
-        data_type: &DataTypeId,
-        subject: SubjectId,
-    ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
-        let snapshot = self.read_snapshot();
-        if !snapshot.tables.contains_key(data_type) {
-            return Err(DbfsError::UnknownType {
-                name: data_type.to_string(),
-            });
-        }
-        let locations: Vec<(PdId, Ino)> = snapshot
-            .subject_ids(subject)
-            .filter_map(|id| snapshot.records.get(&id).map(|loc| (id, loc)))
-            .filter(|(_, loc)| &loc.data_type == data_type)
-            .map(|(id, loc)| (id, loc.ino))
-            .collect();
-        self.read_membranes(&snapshot, locations)
-    }
-
-    /// Membrane-only load of a single record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`].
-    pub fn load_membrane(&self, data_type: &DataTypeId, id: PdId) -> Result<Membrane, DbfsError> {
-        let _timer = self.op_timer("load_membrane");
-        let snapshot = self.read_snapshot();
-        let location = snapshot.locate(data_type, id)?;
-        self.stats.membrane_loads.inc();
-        self.read_membrane_checked(&snapshot, id, location.ino)
-    }
-
     /// Reads membrane headers resolved from `snapshot` with no lock held.
     fn read_membranes(
         &self,
@@ -1923,219 +1453,6 @@ impl<D: BlockDevice> Dbfs<D> {
             }
             Err(e) => Err(e),
         }
-    }
-
-    /// The `ded_load_data` request: fetches the full records for the
-    /// identifiers that passed the membrane filter.
-    ///
-    /// Locations resolve from one published snapshot and the device reads
-    /// run with no lock held; each record that was live in that snapshot is
-    /// re-validated afterwards so a concurrent crypto-erase can never leak
-    /// its scrubbed (or reused) payload blocks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`] for unknown identifiers and
-    /// [`DbfsError::Erased`] when a concurrent erasure beat a payload read.
-    pub fn load_records(
-        &self,
-        data_type: &DataTypeId,
-        ids: &[PdId],
-    ) -> Result<RecordBatch, DbfsError> {
-        let snapshot = self.read_snapshot();
-        let locations: Vec<(PdId, Ino, bool)> = ids
-            .iter()
-            .map(|&id| match snapshot.records.get(&id) {
-                Some(loc) if &loc.data_type == data_type => Ok((id, loc.ino, loc.erased)),
-                _ => Err(DbfsError::UnknownPd { id: id.raw() }),
-            })
-            .collect::<Result<_, _>>()?;
-        let mut batch = RecordBatch::new();
-        for (id, ino, was_erased) in locations {
-            self.stats.reads.inc();
-            let stored = self.read_stored(ino);
-            if !was_erased && self.erased_since(&snapshot, id) {
-                return Err(DbfsError::Erased { id: id.raw() });
-            }
-            let stored = stored?;
-            batch.push(PdRecord::new(
-                id,
-                data_type.clone(),
-                WrappedPd::new(stored.row, stored.membrane),
-            ));
-        }
-        Ok(batch)
-    }
-
-    /// The `update` built-in: replaces the payload row of a record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::Erased`] for erased records and
-    /// [`DbfsError::Core`] for schema violations.
-    pub fn update_row(&self, data_type: &DataTypeId, id: PdId, row: Row) -> Result<(), DbfsError> {
-        let _timer = self.op_timer("update");
-        let schema = self.schema(data_type)?;
-        schema.validate_row(&row)?;
-        // The read-modify-write runs atomically under the index lock, so a
-        // concurrent membrane change (consent withdrawal, TTL change) or
-        // erasure can never be reverted by this row update.
-        let location = {
-            let index = self.lock_index();
-            let location = Self::locate_in(&index, data_type, id)?;
-            if location.erased {
-                return Err(DbfsError::Erased { id: id.raw() });
-            }
-            let mut stored = self.read_stored(location.ino)?;
-            stored.row = row;
-            let tx = self.fs.begin_tx();
-            self.write_stored(location.ino, &stored)?;
-            tx.commit()?;
-            location
-        };
-        self.stats.updates.inc();
-        self.audit.record(
-            self.clock.now(),
-            Some(location.subject),
-            AuditEventKind::Updated { pd: id },
-        );
-        Ok(())
-    }
-
-    /// Applies a subject-initiated membrane change (consent grant/withdrawal,
-    /// retention change).  Returns whether the delta had an effect.
-    ///
-    /// Concurrent deltas to the same record are last-writer-wins; the expiry
-    /// index may briefly trail the membrane on disk, but the retention sweep
-    /// re-verifies every candidate against its on-disk header before erasing
-    /// (and a remount rebuilds the index from disk).  An erasure racing this
-    /// call always wins: the stale pre-erasure membrane is never written
-    /// over the tombstone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`] for unknown records.
-    pub fn apply_membrane_delta(
-        &self,
-        data_type: &DataTypeId,
-        id: PdId,
-        delta: &MembraneDelta,
-    ) -> Result<bool, DbfsError> {
-        // Atomic read-modify-write under the index lock, mirroring
-        // `update_row`: a racing erasure or row update is never clobbered.
-        // Only the membrane header is deserialized and re-encoded; the row
-        // payload bytes are carried over untouched.
-        let (location, applied) = {
-            let mut index = self.lock_index();
-            let location = Self::locate_in(&index, data_type, id)?;
-            let bytes = self.fs.read_all(location.ino)?;
-            let mut membrane = stored::membrane_of(&bytes).map_err(|_| DbfsError::Corrupt {
-                what: format!("record inode {}", location.ino),
-            })?;
-            let applied = membrane.apply(delta);
-            if applied {
-                let spliced = stored::replace_membrane(&bytes, &membrane)?;
-                let tx = self.fs.begin_tx();
-                self.fs.write_replace(location.ino, &spliced)?;
-                tx.commit()?;
-                if matches!(delta, MembraneDelta::SetTimeToLive { .. }) {
-                    index.set_expiry(id, membrane.expiry_instant());
-                    self.publish_locked(&mut index);
-                }
-            }
-            (location, applied)
-        };
-        if applied {
-            let purpose = match delta {
-                MembraneDelta::Grant { purpose, .. } | MembraneDelta::Withdraw { purpose } => {
-                    purpose.clone()
-                }
-                MembraneDelta::SetTimeToLive { .. } => "retention".into(),
-            };
-            self.audit.record(
-                self.clock.now(),
-                Some(location.subject),
-                AuditEventKind::ConsentChanged { pd: id, purpose },
-            );
-        }
-        Ok(applied)
-    }
-
-    /// The `copy` built-in: duplicates a record, keeping the membrane
-    /// consistent across copies and recording the lineage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::Erased`] for erased records.
-    pub fn copy(&self, data_type: &DataTypeId, id: PdId) -> Result<PdId, DbfsError> {
-        let _timer = self.op_timer("copy");
-        // The source resolves from the published snapshot, so an erasure can
-        // commit between this read and the insert below.  That race is closed
-        // by `check_insertable`, which re-walks the copy's lineage under the
-        // index lock and refuses a live copy of an erased ancestor.
-        let location = self.locate(data_type, id)?;
-        if location.erased {
-            return Err(DbfsError::Erased { id: id.raw() });
-        }
-        let stored = self.read_stored(location.ino)?;
-        let copy_membrane = stored.membrane.for_copy(id);
-        let new_id =
-            self.store_wrapped(data_type, WrappedPd::new(stored.row, copy_membrane), true)?;
-        self.stats.copies.inc();
-        self.audit.record(
-            self.clock.now(),
-            Some(location.subject),
-            AuditEventKind::Copied {
-                from: id,
-                to: new_id,
-            },
-        );
-        Ok(new_id)
-    }
-
-    /// The `delete` built-in, i.e. the right to be forgotten (§4): the
-    /// record's payload is encrypted under the authority's public key and the
-    /// membrane is marked erased.  Erasure reaches every *transitive* copy of
-    /// the record — the full lineage closure, computed from the reverse
-    /// copy-lineage index without any disk scan — and the **whole cascade is
-    /// one compound transaction**: a crash at any write index either
-    /// tombstones the record and every copy, or none of them.  A copy can
-    /// therefore never outlive its erased original across a power loss.
-    ///
-    /// Returns the identifiers this call tombstoned (the record itself and
-    /// every lineage copy it reached; already-erased items are not listed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`] for unknown records.
-    pub fn erase(
-        &self,
-        data_type: &DataTypeId,
-        id: PdId,
-        escrow: &OperatorEscrow,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        let _timer = self.op_timer("erase");
-        let done = {
-            let mut index = self.lock_index();
-            let root = Self::locate_in(&index, data_type, id)?;
-            // Snapshot the lineage closure from the index — a pure in-memory
-            // walk, so no disk I/O happens before the write set is known.
-            let mut targets: Vec<(DataTypeId, PdId)> = Vec::new();
-            if !root.erased {
-                targets.push((data_type.clone(), id));
-            }
-            targets.extend(
-                index
-                    .live_locations(index.lineage_closure(id).into_iter())
-                    .map(|(copy, loc)| (loc.data_type.clone(), copy)),
-            );
-            if targets.is_empty() {
-                return Ok(Vec::new());
-            }
-            self.erase_targets_locked(&mut index, &targets, escrow)?
-        };
-        self.audit_erasures(&done);
-        Ok(done.into_iter().map(|(erased_id, _)| erased_id).collect())
     }
 
     /// Crypto-erases every target (skipping records already tombstoned) in
@@ -2219,154 +1536,6 @@ impl<D: BlockDevice> Dbfs<D> {
         }
     }
 
-    /// Erases every record of a subject (a subject-wide right-to-be-forgotten
-    /// request) in **one** compound transaction.  Returns the identifiers
-    /// tombstoned by this call — the subject's records *and* every transitive
-    /// lineage copy the cascade reached (copies carry their original's
-    /// subject, so the closure stays within the subject's id set).
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn erase_subject(
-        &self,
-        subject: SubjectId,
-        escrow: &OperatorEscrow,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        let _timer = self.op_timer("erase_subject");
-        let done = {
-            let mut index = self.lock_index();
-            let roots: Vec<(DataTypeId, PdId)> = index
-                .live_locations(index.subject_ids(subject))
-                .map(|(id, loc)| (loc.data_type.clone(), id))
-                .collect();
-            let mut seen: BTreeSet<PdId> = roots.iter().map(|(_, id)| *id).collect();
-            let mut closure: Vec<(DataTypeId, PdId)> = Vec::new();
-            for (_, root) in &roots {
-                for (copy, loc) in index.live_locations(index.lineage_closure(*root).into_iter()) {
-                    if seen.insert(copy) {
-                        closure.push((loc.data_type.clone(), copy));
-                    }
-                }
-            }
-            let mut targets = roots;
-            targets.extend(closure);
-            if targets.is_empty() {
-                return Ok(Vec::new());
-            }
-            self.erase_targets_locked(&mut index, &targets, escrow)?
-        };
-        self.audit_erasures(&done);
-        Ok(done.into_iter().map(|(erased_id, _)| erased_id).collect())
-    }
-
-    /// Enforces the storage-limitation principle: erases every record whose
-    /// retention period has elapsed.  Returns the expired identifiers.
-    ///
-    /// The candidates come from the expiry index, so the sweep only ever
-    /// visits records that actually expired — unexpired and unbounded-TTL
-    /// records cost nothing, in memory or on disk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn purge_expired(&self, escrow: &OperatorEscrow) -> Result<Vec<PdId>, DbfsError> {
-        let _timer = self.op_timer("purge_expired");
-        let now = self.clock.now();
-        let candidates: Vec<(DataTypeId, PdId, SubjectId)> = {
-            let index = self.lock_index();
-            index
-                .live_locations(
-                    index
-                        .by_expiry
-                        .range(..now)
-                        .flat_map(|(_, ids)| ids.iter().copied()),
-                )
-                .map(|(id, loc)| (loc.data_type.clone(), id, loc.subject))
-                .collect()
-        };
-        let mut expired = Vec::new();
-        let mut swept: BTreeSet<PdId> = BTreeSet::new();
-        for (data_type, id, subject) in candidates {
-            let reached_earlier = swept.contains(&id);
-            if !reached_earlier {
-                // Re-verify against the on-disk membrane header before
-                // erasing: a TTL change racing the sweep must never erase a
-                // record whose membrane no longer allows it.  The read and
-                // the heal happen under one lock acquisition so the heal
-                // cannot clobber a concurrent TTL change.
-                let still_expired = {
-                    let mut index = self.lock_index();
-                    // Tombstoned by someone else (a concurrent sweep or an
-                    // Art. 17 request) since the snapshot — not this sweep's
-                    // expiry to report.
-                    match index
-                        .records
-                        .get(&id)
-                        .filter(|loc| !loc.erased)
-                        .map(|loc| loc.ino)
-                    {
-                        None => false,
-                        Some(ino) => {
-                            let membrane = read_membrane_from(&self.fs, ino)?;
-                            if membrane.is_expired(now) {
-                                true
-                            } else {
-                                // Heal the stale expiry entry the race left.
-                                index.set_expiry(id, membrane.expiry_instant());
-                                self.publish_locked(&mut index);
-                                false
-                            }
-                        }
-                    }
-                };
-                if !still_expired {
-                    continue;
-                }
-                swept.extend(self.erase(&data_type, id, escrow)?);
-            }
-            // Reported when erased by this iteration, or earlier in this
-            // sweep as the expired copy of another expired record.
-            if reached_earlier || swept.contains(&id) {
-                self.stats.expirations.inc();
-                self.audit
-                    .record(now, Some(subject), AuditEventKind::Expired { pd: id });
-                expired.push(id);
-            }
-        }
-        Ok(expired)
-    }
-
-    /// Returns every live record belonging to a subject, across all types —
-    /// the raw material of the right of access.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn records_of_subject(&self, subject: SubjectId) -> Result<Vec<PdRecord>, DbfsError> {
-        let snapshot = self.read_snapshot();
-        let locations: Vec<(PdId, RecordLocation)> = snapshot
-            .live_locations(snapshot.subject_ids(subject))
-            .map(|(id, loc)| (id, loc.clone()))
-            .collect();
-        let mut out = Vec::with_capacity(locations.len());
-        for (id, loc) in locations {
-            let stored = self.read_stored(loc.ino);
-            if self.erased_since(&snapshot, id) {
-                // Tombstoned since the snapshot was cut: the right of access
-                // must not return the (scrubbed or reused) payload blocks.
-                continue;
-            }
-            let stored = stored?;
-            out.push(PdRecord::new(
-                id,
-                loc.data_type,
-                WrappedPd::new(stored.row, stored.membrane),
-            ));
-        }
-        Ok(out)
-    }
-
     /// The `(table, id)` pairs of a subject's *live* records, resolved purely
     /// from the in-memory index — no disk I/O.  Sharded deployments use this
     /// to snapshot a subject's record set before a cross-shard erasure
@@ -2403,92 +1572,6 @@ impl<D: BlockDevice> Dbfs<D> {
                 erased: loc.erased,
             })
             .collect()
-    }
-
-    /// Executes a query against one table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownType`] (and [`DbfsError::Core`] when the
-    /// requested view does not exist).
-    pub fn query(&self, request: &QueryRequest) -> Result<RecordBatch, DbfsError> {
-        let _timer = self.op_timer("query");
-        self.stats.queries.inc();
-        let schema = self.schema(&request.data_type)?;
-        let view = match &request.view {
-            Some(view_name) => Some(schema.view(view_name).cloned().ok_or(
-                rgpdos_core::CoreError::NotFound {
-                    what: format!("view `{view_name}`"),
-                },
-            )?),
-            None => None,
-        };
-        // Candidates resolve from one published snapshot, so the result is
-        // batch-atomic; the device reads below run with no lock held.
-        let snapshot = self.read_snapshot();
-        let locations: Vec<(PdId, RecordLocation)> = {
-            // Narrow the candidate set through the secondary indexes before
-            // touching the disk: seed it from the most selective source —
-            // an explicit id-list conjunct, then a subject conjunct, then
-            // the table index — so point and per-subject queries cost
-            // O(result), not O(table).
-            let mut subjects = Vec::new();
-            let mut id_sets = Vec::new();
-            request
-                .predicate
-                .conjunctive_hints(&mut subjects, &mut id_sets);
-            static EMPTY: BTreeSet<PdId> = BTreeSet::new();
-            let candidates: Box<dyn Iterator<Item = PdId> + '_> =
-                if let Some(smallest) = id_sets.iter().copied().min_by_key(|ids| ids.len()) {
-                    Box::new(smallest.iter().copied())
-                } else if !subjects.is_empty() {
-                    let smallest = subjects
-                        .iter()
-                        .map(|s| snapshot.by_subject.get(s))
-                        .min_by_key(|set| set.map_or(0, BTreeSet::len))
-                        .flatten()
-                        .unwrap_or(&EMPTY);
-                    Box::new(smallest.iter().copied())
-                } else {
-                    Box::new(snapshot.table_ids(&request.data_type))
-                };
-            candidates
-                .filter_map(|id| snapshot.records.get(&id).map(|loc| (id, loc)))
-                .filter(|(_, loc)| loc.data_type == request.data_type)
-                .filter(|(_, loc)| subjects.iter().all(|s| loc.subject == *s))
-                .filter(|(id, _)| id_sets.iter().all(|ids| ids.contains(id)))
-                .filter(|(_, loc)| !(request.skip_erased && loc.erased))
-                .map(|(id, loc)| (id, loc.clone()))
-                .collect()
-        };
-        let mut batch = RecordBatch::new();
-        for (id, loc) in locations {
-            let mut stored = self.read_stored(loc.ino);
-            if !loc.erased && self.erased_since(&snapshot, id) {
-                // Tombstoned since the snapshot was cut: the payload bytes
-                // just read may be the scrubbed (or reused) blocks.
-                if request.skip_erased {
-                    continue;
-                }
-                // The tombstone image was durable before the erasure
-                // published, so one retry reads the committed erased record.
-                stored = self.read_stored(loc.ino);
-            }
-            let stored = stored?;
-            if !request.predicate.matches(id, loc.subject, &stored.row) {
-                continue;
-            }
-            let row = match &view {
-                Some(v) => v.apply(&stored.row),
-                None => stored.row,
-            };
-            batch.push(PdRecord::new(
-                id,
-                request.data_type.clone(),
-                WrappedPd::new(row, stored.membrane),
-            ));
-        }
-        Ok(batch)
     }
 
     // ------------------------------------------------------------------
@@ -2652,56 +1735,10 @@ impl<D: BlockDevice> Dbfs<D> {
     // Tombstone scrubbing / space reclamation
     // ------------------------------------------------------------------
 
-    /// Measures the store's space footprint: live versus tombstone record
-    /// bytes (from the record inodes' on-disk sizes) plus the device's
-    /// allocated-block count.  Also refreshes the `space_amplification`
-    /// gauge.
-    ///
-    /// Sizes resolve against the published snapshot with no index lock
-    /// held; a record reclaimed concurrently is simply skipped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn space_stats(&self) -> Result<SpaceStats, DbfsError> {
-        let snapshot = self.read_snapshot();
-        let mut stats = SpaceStats::default();
-        for loc in snapshot.records.values() {
-            let bytes = match self.fs.stat(loc.ino) {
-                Ok(inode) => inode.size,
-                // Reclaimed between the snapshot and this stat.
-                Err(rgpdos_inode::InodeError::BadInode { .. }) => continue,
-                Err(e) => return Err(e.into()),
-            };
-            if loc.erased {
-                stats.tombstone_records += 1;
-                stats.tombstone_bytes += bytes;
-            } else {
-                stats.live_records += 1;
-                stats.live_bytes += bytes;
-            }
-        }
-        stats.allocated_blocks = self.fs.allocated_blocks();
-        self.space
-            .set_amplification_x100(stats.amplification_x100());
-        Ok(stats)
-    }
-
     /// Tombstones reclaimed by scrub passes since format/mount (the
     /// `tombstones_reclaimed` gauge).
     pub fn tombstones_reclaimed(&self) -> u64 {
         self.space.reclaimed()
-    }
-
-    /// One scrub pass with no extra retention policy: reclaims every
-    /// tombstone not referenced by a pending erase intent, children before
-    /// parents (see [`Dbfs::scrub_tombstones_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn scrub_tombstones(&self) -> Result<ScrubReport, DbfsError> {
-        self.scrub_tombstones_with(|_| true)
     }
 
     /// One scrub pass: reclaims the on-disk footprint of tombstones whose
@@ -2906,20 +1943,802 @@ impl<D: BlockDevice> Dbfs<D> {
         self.fs.write_replace(ino, &bytes)?;
         Ok(())
     }
+}
 
-    /// Verifies that the secondary indexes agree with the primary record map
-    /// and with the membrane headers on disk.  Used by the property tests
-    /// and available to compliance audits.
-    ///
-    /// Expects a *quiescent* store: the disk comparison runs against an
-    /// index snapshot, so a writer racing this call can make the two
-    /// transiently disagree and produce a false corruption report.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::Corrupt`] describing the first violation found,
-    /// and propagates storage errors.
-    pub fn verify_index_invariants(&self) -> Result<(), DbfsError> {
+impl<D: BlockDevice> PdStore for Dbfs<D> {
+    fn clock(&self) -> Arc<LogicalClock> {
+        Arc::clone(&self.clock)
+    }
+
+    fn audit(&self) -> AuditLog {
+        self.audit.clone()
+    }
+
+    fn stats(&self) -> DbfsStats {
+        self.stats.snapshot()
+    }
+
+    fn attach_trace(&self, ctx: &rgpdos_trace::TraceCtx) {
+        self.attach_trace_as(ctx, &[]);
+    }
+
+    fn create_type(&self, schema: DataTypeSchema) -> Result<(), DbfsError> {
+        let mut index = self.lock_index();
+        if index.tables.contains_key(schema.name()) {
+            return Err(DbfsError::TypeAlreadyExists {
+                name: schema.name().to_string(),
+            });
+        }
+        // The table subtree, its schema entry and the tables-tree link are
+        // created in one compound transaction: a crash never exposes a table
+        // without its schema.
+        let tx = self.fs.begin_tx();
+        let table_ino = self.fs.alloc_inode(InodeKind::Table)?;
+        self.fs
+            .dir_add(index.tables_ino, schema.name().as_str(), table_ino)?;
+        let schema_ino = self.fs.alloc_inode(InodeKind::Schema)?;
+        let bytes = serde_json::to_vec(&schema).map_err(|_| DbfsError::Corrupt {
+            what: "schema serialization".to_owned(),
+        })?;
+        self.fs.write_replace(schema_ino, &bytes)?;
+        self.fs.dir_add(table_ino, SCHEMA_ENTRY, schema_ino)?;
+        tx.commit()?;
+        Arc::make_mut(&mut index.tables).insert(schema.name().clone(), table_ino);
+        Arc::make_mut(&mut index.schemas).register(schema);
+        self.publish_locked(&mut index);
+        Ok(())
+    }
+
+    fn schema(&self, name: &DataTypeId) -> Result<DataTypeSchema, DbfsError> {
+        self.read_snapshot()
+            .schemas
+            .get(name)
+            .cloned()
+            .ok_or_else(|| DbfsError::UnknownType {
+                name: name.to_string(),
+            })
+    }
+
+    // Served from the published snapshot: wait-free, never touches the
+    // index lock.
+    fn types(&self) -> Vec<DataTypeId> {
+        self.read_snapshot().tables.keys().cloned().collect()
+    }
+
+    // Served from the published snapshot, so the answer is batch-atomic:
+    // a concurrent group commit is either fully counted or not at all — a
+    // half-applied batch is never observed.
+    fn count(&self, name: &DataTypeId) -> Result<usize, DbfsError> {
+        let snapshot = self.read_snapshot();
+        if !snapshot.tables.contains_key(name) {
+            return Err(DbfsError::UnknownType {
+                name: name.to_string(),
+            });
+        }
+        Ok(snapshot.live_locations(snapshot.table_ids(name)).count())
+    }
+
+    fn collect(
+        &self,
+        data_type: &DataTypeId,
+        subject: SubjectId,
+        row: Row,
+    ) -> Result<PdId, DbfsError> {
+        let _timer = self.op_timer("collect");
+        let now = self.clock.now();
+        let schema = self.schema(data_type)?;
+        let membrane = Membrane::from_schema(&schema, subject, now);
+        self.store_wrapped(data_type, WrappedPd::new(row, membrane), true)
+    }
+
+    fn insert_wrapped(
+        &self,
+        data_type: &DataTypeId,
+        wrapped: WrappedPd,
+    ) -> Result<PdId, DbfsError> {
+        self.store_wrapped(data_type, wrapped, true)
+    }
+
+    fn collect_many(
+        &self,
+        data_type: &DataTypeId,
+        rows: Vec<(SubjectId, Row)>,
+    ) -> Result<Vec<PdId>, DbfsError> {
+        let schema = self.schema(data_type)?;
+        let now = self.clock.now();
+        let items = rows
+            .into_iter()
+            .map(|(subject, row)| {
+                let membrane = Membrane::from_schema(&schema, subject, now);
+                (data_type.clone(), WrappedPd::new(row, membrane))
+            })
+            .collect();
+        self.insert_many(items)
+    }
+
+    // N independent inserts are staged into one compound transaction and
+    // journaled together, cutting a new group whenever the staged write set
+    // would overflow `InodeFs::tx_capacity_blocks` (the crash-atomicity
+    // bound).  On error, the items staged before the failing one are
+    // committed first, so a crash or a failure leaves a clean prefix of
+    // whole groups, never a torn record.
+    fn insert_many(&self, items: Vec<(DataTypeId, WrappedPd)>) -> Result<Vec<PdId>, DbfsError> {
+        if items.is_empty() {
+            return Ok(Vec::new());
+        }
+        let _timer = self.op_timer("insert_batch");
+        let capacity = self.fs.tx_capacity_blocks();
+        let mut ids = Vec::with_capacity(items.len());
+        let mut committed: Vec<(PdId, SubjectId)> = Vec::new();
+        let mut failure: Option<DbfsError> = None;
+        {
+            let mut index = self.lock_index();
+            let mut group = InsertGroup::starting_at(index.next_pd);
+            let mut tx = Some(self.fs.begin_tx());
+            for (data_type, wrapped) in &items {
+                let savepoint = self.fs.tx_savepoint();
+                let mark = group.mark();
+                let staged = self
+                    .check_insertable(&index, &group, data_type, wrapped, true)
+                    .and_then(|()| self.stage_wrapped(&index, &mut group, data_type, wrapped));
+                let id = match staged {
+                    Ok(id) => id,
+                    Err(e) => {
+                        // Unstage the partial writes of the failing record;
+                        // the group staged so far commits below (prefix
+                        // semantics, as if inserted sequentially).
+                        self.fs.tx_rollback_to(savepoint);
+                        group.rollback_to(mark, wrapped.membrane().subject());
+                        failure = Some(e);
+                        break;
+                    }
+                };
+                if self.fs.tx_staged_blocks() > capacity && mark.staged_len > 0 {
+                    // This record overflows the crash-atomic capacity of
+                    // the open group: unstage it, commit the group, then
+                    // re-stage it first into a fresh transaction.  (The
+                    // identifier is stable across the re-stage: the
+                    // counter rolls back and forward to the same value.)
+                    self.fs.tx_rollback_to(savepoint);
+                    group.rollback_to(mark, wrapped.membrane().subject());
+                    if let Err(e) = tx.take().expect("open group tx").commit() {
+                        failure = Some(e.into());
+                        break;
+                    }
+                    let full = std::mem::replace(&mut group, InsertGroup::starting_at(0));
+                    let before = committed.len();
+                    committed.extend(self.apply_group(&mut index, full));
+                    self.record_group_commit((committed.len() - before) as u64);
+                    // Each group-commit cut point publishes: concurrent
+                    // readers observe whole groups, never a partial batch.
+                    self.publish_locked(&mut index);
+                    group = InsertGroup::starting_at(index.next_pd);
+                    tx = Some(self.fs.begin_tx());
+                    let fresh = self.fs.tx_savepoint();
+                    match self.stage_wrapped(&index, &mut group, data_type, wrapped) {
+                        Ok(again) => debug_assert_eq!(again, id),
+                        Err(e) => {
+                            self.fs.tx_rollback_to(fresh);
+                            failure = Some(e);
+                            break;
+                        }
+                    }
+                }
+                ids.push(id);
+            }
+            // Commit whatever the last open group staged — on the happy
+            // path the batch's tail, on the error path the prefix before
+            // the failing item.
+            if let Some(tx) = tx.take() {
+                match tx.commit() {
+                    Ok(()) => {
+                        let before = committed.len();
+                        committed.extend(self.apply_group(&mut index, group));
+                        self.record_group_commit((committed.len() - before) as u64);
+                        self.publish_locked(&mut index);
+                    }
+                    Err(e) => {
+                        if failure.is_none() {
+                            failure = Some(e.into());
+                        }
+                    }
+                }
+            }
+        }
+        self.stats.insert_batches.inc();
+        self.account_inserts(&committed);
+        match failure {
+            None => Ok(ids),
+            Some(e) => Err(e),
+        }
+    }
+
+    // The row replacements share compound transactions, cut at the
+    // journal-capacity bound like `insert_many`.
+    fn update_rows(
+        &self,
+        data_type: &DataTypeId,
+        updates: Vec<(PdId, Row)>,
+    ) -> Result<(), DbfsError> {
+        if updates.is_empty() {
+            return Ok(());
+        }
+        let schema = self.schema(data_type)?;
+        for (_, row) in &updates {
+            schema.validate_row(row)?;
+        }
+        let capacity = self.fs.tx_capacity_blocks();
+        let mut committed: Vec<(PdId, SubjectId)> = Vec::new();
+        let mut failure: Option<DbfsError> = None;
+        {
+            // Held across the whole batch, like the per-record path: no
+            // erasure or membrane change can interleave with the staged
+            // read-modify-writes.
+            let index = self.lock_index();
+            let mut tx = Some(self.fs.begin_tx());
+            let mut group: Vec<(PdId, SubjectId)> = Vec::new();
+            for (id, row) in &updates {
+                let savepoint = self.fs.tx_savepoint();
+                let staged = Self::locate_in(&index, data_type, *id).and_then(|location| {
+                    if location.erased {
+                        return Err(DbfsError::Erased { id: id.raw() });
+                    }
+                    let mut stored = self.read_stored(location.ino)?;
+                    stored.row = row.clone();
+                    self.write_stored(location.ino, &stored)?;
+                    Ok(location.subject)
+                });
+                let subject = match staged {
+                    Ok(subject) => subject,
+                    Err(e) => {
+                        self.fs.tx_rollback_to(savepoint);
+                        failure = Some(e);
+                        break;
+                    }
+                };
+                if self.fs.tx_staged_blocks() > capacity && !group.is_empty() {
+                    // Overflow: unstage this update, commit the group so
+                    // far, re-stage into a fresh transaction.
+                    self.fs.tx_rollback_to(savepoint);
+                    if let Err(e) = tx.take().expect("open group tx").commit() {
+                        failure = Some(e.into());
+                        break;
+                    }
+                    committed.append(&mut group);
+                    tx = Some(self.fs.begin_tx());
+                    let fresh = self.fs.tx_savepoint();
+                    let restaged = Self::locate_in(&index, data_type, *id).and_then(|location| {
+                        let mut stored = self.read_stored(location.ino)?;
+                        stored.row = row.clone();
+                        self.write_stored(location.ino, &stored)
+                    });
+                    if let Err(e) = restaged {
+                        self.fs.tx_rollback_to(fresh);
+                        failure = Some(e);
+                        break;
+                    }
+                }
+                group.push((*id, subject));
+            }
+            if let Some(tx) = tx.take() {
+                match tx.commit() {
+                    Ok(()) => committed.append(&mut group),
+                    Err(e) => {
+                        if failure.is_none() {
+                            failure = Some(e.into());
+                        }
+                    }
+                }
+            }
+        }
+        for (id, subject) in &committed {
+            self.stats.updates.inc();
+            self.audit.record(
+                self.clock.now(),
+                Some(*subject),
+                AuditEventKind::Updated { pd: *id },
+            );
+        }
+        match failure {
+            None => Ok(()),
+            Some(e) => Err(e),
+        }
+    }
+
+    // The block location is resolved from the published snapshot and the
+    // device is read with no lock held.  Because a crypto-erase can commit
+    // concurrently (scrubbing — and possibly reusing — the very blocks this
+    // read targets), the record's tombstone state is re-validated against
+    // the current snapshot after the device read: a record erased since the
+    // snapshot was cut returns `Erased` instead of stale or reused payload
+    // bytes.
+    fn get(&self, data_type: &DataTypeId, id: PdId) -> Result<PdRecord, DbfsError> {
+        let _timer = self.op_timer("get");
+        self.stats.reads.inc();
+        let snapshot = self.read_snapshot();
+        let location = snapshot.locate(data_type, id)?;
+        let stored = self.read_stored(location.ino);
+        if !location.erased && self.erased_since(&snapshot, id) {
+            return Err(DbfsError::Erased { id: id.raw() });
+        }
+        let stored = stored?;
+        Ok(PdRecord::new(
+            id,
+            data_type.clone(),
+            WrappedPd::new(stored.row, stored.membrane),
+        ))
+    }
+
+    // Fetches only the membranes of a table, so consent filtering can
+    // happen before any personal data is read (data minimisation inside the
+    // OS itself).
+    fn load_membranes(&self, data_type: &DataTypeId) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
+        let snapshot = self.read_snapshot();
+        if !snapshot.tables.contains_key(data_type) {
+            return Err(DbfsError::UnknownType {
+                name: data_type.to_string(),
+            });
+        }
+        let locations: Vec<(PdId, Ino)> = snapshot
+            .table_ids(data_type)
+            .filter_map(|id| snapshot.records.get(&id).map(|loc| (id, loc.ino)))
+            .collect();
+        self.read_membranes(&snapshot, locations)
+    }
+
+    // Resolved through the subject index, not a table scan.
+    fn load_membranes_for_subject(
+        &self,
+        data_type: &DataTypeId,
+        subject: SubjectId,
+    ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
+        let snapshot = self.read_snapshot();
+        if !snapshot.tables.contains_key(data_type) {
+            return Err(DbfsError::UnknownType {
+                name: data_type.to_string(),
+            });
+        }
+        let locations: Vec<(PdId, Ino)> = snapshot
+            .subject_ids(subject)
+            .filter_map(|id| snapshot.records.get(&id).map(|loc| (id, loc)))
+            .filter(|(_, loc)| &loc.data_type == data_type)
+            .map(|(id, loc)| (id, loc.ino))
+            .collect();
+        self.read_membranes(&snapshot, locations)
+    }
+
+    fn load_membrane(&self, data_type: &DataTypeId, id: PdId) -> Result<Membrane, DbfsError> {
+        let _timer = self.op_timer("load_membrane");
+        let snapshot = self.read_snapshot();
+        let location = snapshot.locate(data_type, id)?;
+        self.stats.membrane_loads.inc();
+        self.read_membrane_checked(&snapshot, id, location.ino)
+    }
+
+    // Locations resolve from one published snapshot and the device reads
+    // run with no lock held; each record that was live in that snapshot is
+    // re-validated afterwards so a concurrent crypto-erase can never leak
+    // its scrubbed (or reused) payload blocks.
+    fn load_records(&self, data_type: &DataTypeId, ids: &[PdId]) -> Result<RecordBatch, DbfsError> {
+        let snapshot = self.read_snapshot();
+        let locations: Vec<(PdId, Ino, bool)> = ids
+            .iter()
+            .map(|&id| match snapshot.records.get(&id) {
+                Some(loc) if &loc.data_type == data_type => Ok((id, loc.ino, loc.erased)),
+                _ => Err(DbfsError::UnknownPd { id: id.raw() }),
+            })
+            .collect::<Result<_, _>>()?;
+        let mut batch = RecordBatch::new();
+        for (id, ino, was_erased) in locations {
+            self.stats.reads.inc();
+            let stored = self.read_stored(ino);
+            if !was_erased && self.erased_since(&snapshot, id) {
+                return Err(DbfsError::Erased { id: id.raw() });
+            }
+            let stored = stored?;
+            batch.push(PdRecord::new(
+                id,
+                data_type.clone(),
+                WrappedPd::new(stored.row, stored.membrane),
+            ));
+        }
+        Ok(batch)
+    }
+
+    fn update_row(&self, data_type: &DataTypeId, id: PdId, row: Row) -> Result<(), DbfsError> {
+        let _timer = self.op_timer("update");
+        let schema = self.schema(data_type)?;
+        schema.validate_row(&row)?;
+        // The read-modify-write runs atomically under the index lock, so a
+        // concurrent membrane change (consent withdrawal, TTL change) or
+        // erasure can never be reverted by this row update.
+        let location = {
+            let index = self.lock_index();
+            let location = Self::locate_in(&index, data_type, id)?;
+            if location.erased {
+                return Err(DbfsError::Erased { id: id.raw() });
+            }
+            let mut stored = self.read_stored(location.ino)?;
+            stored.row = row;
+            let tx = self.fs.begin_tx();
+            self.write_stored(location.ino, &stored)?;
+            tx.commit()?;
+            location
+        };
+        self.stats.updates.inc();
+        self.audit.record(
+            self.clock.now(),
+            Some(location.subject),
+            AuditEventKind::Updated { pd: id },
+        );
+        Ok(())
+    }
+
+    // Concurrent deltas to the same record are last-writer-wins; the expiry
+    // index may briefly trail the membrane on disk, but the retention sweep
+    // re-verifies every candidate against its on-disk header before erasing
+    // (and a remount rebuilds the index from disk).  An erasure racing this
+    // call always wins: the stale pre-erasure membrane is never written
+    // over the tombstone.
+    fn apply_membrane_delta(
+        &self,
+        data_type: &DataTypeId,
+        id: PdId,
+        delta: &MembraneDelta,
+    ) -> Result<bool, DbfsError> {
+        // Atomic read-modify-write under the index lock, mirroring
+        // `update_row`: a racing erasure or row update is never clobbered.
+        // Only the membrane header is deserialized and re-encoded; the row
+        // payload bytes are carried over untouched.
+        let (location, applied) = {
+            let mut index = self.lock_index();
+            let location = Self::locate_in(&index, data_type, id)?;
+            let bytes = self.fs.read_all(location.ino)?;
+            let mut membrane = stored::membrane_of(&bytes).map_err(|_| DbfsError::Corrupt {
+                what: format!("record inode {}", location.ino),
+            })?;
+            let applied = membrane.apply(delta);
+            if applied {
+                let spliced = stored::replace_membrane(&bytes, &membrane)?;
+                let tx = self.fs.begin_tx();
+                self.fs.write_replace(location.ino, &spliced)?;
+                tx.commit()?;
+                if matches!(delta, MembraneDelta::SetTimeToLive { .. }) {
+                    index.set_expiry(id, membrane.expiry_instant());
+                    self.publish_locked(&mut index);
+                }
+            }
+            (location, applied)
+        };
+        if applied {
+            let purpose = match delta {
+                MembraneDelta::Grant { purpose, .. } | MembraneDelta::Withdraw { purpose } => {
+                    purpose.clone()
+                }
+                MembraneDelta::SetTimeToLive { .. } => "retention".into(),
+            };
+            self.audit.record(
+                self.clock.now(),
+                Some(location.subject),
+                AuditEventKind::ConsentChanged { pd: id, purpose },
+            );
+        }
+        Ok(applied)
+    }
+
+    fn copy(&self, data_type: &DataTypeId, id: PdId) -> Result<PdId, DbfsError> {
+        let _timer = self.op_timer("copy");
+        // The source resolves from the published snapshot, so an erasure can
+        // commit between this read and the insert below.  That race is closed
+        // by `check_insertable`, which re-walks the copy's lineage under the
+        // index lock and refuses a live copy of an erased ancestor.
+        let location = self.locate(data_type, id)?;
+        if location.erased {
+            return Err(DbfsError::Erased { id: id.raw() });
+        }
+        let stored = self.read_stored(location.ino)?;
+        let copy_membrane = stored.membrane.for_copy(id);
+        let new_id =
+            self.store_wrapped(data_type, WrappedPd::new(stored.row, copy_membrane), true)?;
+        self.stats.copies.inc();
+        self.audit.record(
+            self.clock.now(),
+            Some(location.subject),
+            AuditEventKind::Copied {
+                from: id,
+                to: new_id,
+            },
+        );
+        Ok(new_id)
+    }
+
+    // The right to be forgotten (§4): the record's payload is encrypted
+    // under the authority's public key and the membrane is marked erased.
+    // The lineage closure comes from the reverse copy-lineage index without
+    // any disk scan, and the whole cascade is one compound transaction: a
+    // crash at any write index either tombstones the record and every copy,
+    // or none of them.  A copy can therefore never outlive its erased
+    // original across a power loss.  Already-erased items are not listed in
+    // the result.
+    fn erase(
+        &self,
+        data_type: &DataTypeId,
+        id: PdId,
+        escrow: &OperatorEscrow,
+    ) -> Result<Vec<PdId>, DbfsError> {
+        let _timer = self.op_timer("erase");
+        let done = {
+            let mut index = self.lock_index();
+            let root = Self::locate_in(&index, data_type, id)?;
+            // Snapshot the lineage closure from the index — a pure in-memory
+            // walk, so no disk I/O happens before the write set is known.
+            let mut targets: Vec<(DataTypeId, PdId)> = Vec::new();
+            if !root.erased {
+                targets.push((data_type.clone(), id));
+            }
+            targets.extend(
+                index
+                    .live_locations(index.lineage_closure(id).into_iter())
+                    .map(|(copy, loc)| (loc.data_type.clone(), copy)),
+            );
+            if targets.is_empty() {
+                return Ok(Vec::new());
+            }
+            self.erase_targets_locked(&mut index, &targets, escrow)?
+        };
+        self.audit_erasures(&done);
+        Ok(done.into_iter().map(|(erased_id, _)| erased_id).collect())
+    }
+
+    // One compound transaction.  Copies carry their original's subject, so
+    // the lineage closure stays within the subject's id set.
+    fn erase_subject(
+        &self,
+        subject: SubjectId,
+        escrow: &OperatorEscrow,
+    ) -> Result<Vec<PdId>, DbfsError> {
+        let _timer = self.op_timer("erase_subject");
+        let done = {
+            let mut index = self.lock_index();
+            let roots: Vec<(DataTypeId, PdId)> = index
+                .live_locations(index.subject_ids(subject))
+                .map(|(id, loc)| (loc.data_type.clone(), id))
+                .collect();
+            let mut seen: BTreeSet<PdId> = roots.iter().map(|(_, id)| *id).collect();
+            let mut closure: Vec<(DataTypeId, PdId)> = Vec::new();
+            for (_, root) in &roots {
+                for (copy, loc) in index.live_locations(index.lineage_closure(*root).into_iter()) {
+                    if seen.insert(copy) {
+                        closure.push((loc.data_type.clone(), copy));
+                    }
+                }
+            }
+            let mut targets = roots;
+            targets.extend(closure);
+            if targets.is_empty() {
+                return Ok(Vec::new());
+            }
+            self.erase_targets_locked(&mut index, &targets, escrow)?
+        };
+        self.audit_erasures(&done);
+        Ok(done.into_iter().map(|(erased_id, _)| erased_id).collect())
+    }
+
+    // The candidates come from the expiry index, so the sweep only ever
+    // visits records that actually expired — unexpired and unbounded-TTL
+    // records cost nothing, in memory or on disk.
+    fn purge_expired(&self, escrow: &OperatorEscrow) -> Result<Vec<PdId>, DbfsError> {
+        let _timer = self.op_timer("purge_expired");
+        let now = self.clock.now();
+        let candidates: Vec<(DataTypeId, PdId, SubjectId)> = {
+            let index = self.lock_index();
+            index
+                .live_locations(
+                    index
+                        .by_expiry
+                        .range(..now)
+                        .flat_map(|(_, ids)| ids.iter().copied()),
+                )
+                .map(|(id, loc)| (loc.data_type.clone(), id, loc.subject))
+                .collect()
+        };
+        let mut expired = Vec::new();
+        let mut swept: BTreeSet<PdId> = BTreeSet::new();
+        for (data_type, id, subject) in candidates {
+            let reached_earlier = swept.contains(&id);
+            if !reached_earlier {
+                // Re-verify against the on-disk membrane header before
+                // erasing: a TTL change racing the sweep must never erase a
+                // record whose membrane no longer allows it.  The read and
+                // the heal happen under one lock acquisition so the heal
+                // cannot clobber a concurrent TTL change.
+                let still_expired = {
+                    let mut index = self.lock_index();
+                    // Tombstoned by someone else (a concurrent sweep or an
+                    // Art. 17 request) since the snapshot — not this sweep's
+                    // expiry to report.
+                    match index
+                        .records
+                        .get(&id)
+                        .filter(|loc| !loc.erased)
+                        .map(|loc| loc.ino)
+                    {
+                        None => false,
+                        Some(ino) => {
+                            let membrane = read_membrane_from(&self.fs, ino)?;
+                            if membrane.is_expired(now) {
+                                true
+                            } else {
+                                // Heal the stale expiry entry the race left.
+                                index.set_expiry(id, membrane.expiry_instant());
+                                self.publish_locked(&mut index);
+                                false
+                            }
+                        }
+                    }
+                };
+                if !still_expired {
+                    continue;
+                }
+                swept.extend(self.erase(&data_type, id, escrow)?);
+            }
+            // Reported when erased by this iteration, or earlier in this
+            // sweep as the expired copy of another expired record.
+            if reached_earlier || swept.contains(&id) {
+                self.stats.expirations.inc();
+                self.audit
+                    .record(now, Some(subject), AuditEventKind::Expired { pd: id });
+                expired.push(id);
+            }
+        }
+        Ok(expired)
+    }
+
+    fn records_of_subject(&self, subject: SubjectId) -> Result<Vec<PdRecord>, DbfsError> {
+        let snapshot = self.read_snapshot();
+        let locations: Vec<(PdId, RecordLocation)> = snapshot
+            .live_locations(snapshot.subject_ids(subject))
+            .map(|(id, loc)| (id, loc.clone()))
+            .collect();
+        let mut out = Vec::with_capacity(locations.len());
+        for (id, loc) in locations {
+            let stored = self.read_stored(loc.ino);
+            if self.erased_since(&snapshot, id) {
+                // Tombstoned since the snapshot was cut: the right of access
+                // must not return the (scrubbed or reused) payload blocks.
+                continue;
+            }
+            let stored = stored?;
+            out.push(PdRecord::new(
+                id,
+                loc.data_type,
+                WrappedPd::new(stored.row, stored.membrane),
+            ));
+        }
+        Ok(out)
+    }
+
+    fn query(&self, request: &QueryRequest) -> Result<RecordBatch, DbfsError> {
+        let _timer = self.op_timer("query");
+        self.stats.queries.inc();
+        let schema = self.schema(&request.data_type)?;
+        let view = match &request.view {
+            Some(view_name) => Some(schema.view(view_name).cloned().ok_or(
+                rgpdos_core::CoreError::NotFound {
+                    what: format!("view `{view_name}`"),
+                },
+            )?),
+            None => None,
+        };
+        // Candidates resolve from one published snapshot, so the result is
+        // batch-atomic; the device reads below run with no lock held.
+        let snapshot = self.read_snapshot();
+        let locations: Vec<(PdId, RecordLocation)> = {
+            // Narrow the candidate set through the secondary indexes before
+            // touching the disk: seed it from the most selective source —
+            // an explicit id-list conjunct, then a subject conjunct, then
+            // the table index — so point and per-subject queries cost
+            // O(result), not O(table).
+            let mut subjects = Vec::new();
+            let mut id_sets = Vec::new();
+            request
+                .predicate
+                .conjunctive_hints(&mut subjects, &mut id_sets);
+            static EMPTY: BTreeSet<PdId> = BTreeSet::new();
+            let candidates: Box<dyn Iterator<Item = PdId> + '_> =
+                if let Some(smallest) = id_sets.iter().copied().min_by_key(|ids| ids.len()) {
+                    Box::new(smallest.iter().copied())
+                } else if !subjects.is_empty() {
+                    let smallest = subjects
+                        .iter()
+                        .map(|s| snapshot.by_subject.get(s))
+                        .min_by_key(|set| set.map_or(0, BTreeSet::len))
+                        .flatten()
+                        .unwrap_or(&EMPTY);
+                    Box::new(smallest.iter().copied())
+                } else {
+                    Box::new(snapshot.table_ids(&request.data_type))
+                };
+            candidates
+                .filter_map(|id| snapshot.records.get(&id).map(|loc| (id, loc)))
+                .filter(|(_, loc)| loc.data_type == request.data_type)
+                .filter(|(_, loc)| subjects.iter().all(|s| loc.subject == *s))
+                .filter(|(id, _)| id_sets.iter().all(|ids| ids.contains(id)))
+                .filter(|(_, loc)| !(request.skip_erased && loc.erased))
+                .map(|(id, loc)| (id, loc.clone()))
+                .collect()
+        };
+        let mut batch = RecordBatch::new();
+        for (id, loc) in locations {
+            let mut stored = self.read_stored(loc.ino);
+            if !loc.erased && self.erased_since(&snapshot, id) {
+                // Tombstoned since the snapshot was cut: the payload bytes
+                // just read may be the scrubbed (or reused) blocks.
+                if request.skip_erased {
+                    continue;
+                }
+                // The tombstone image was durable before the erasure
+                // published, so one retry reads the committed erased record.
+                stored = self.read_stored(loc.ino);
+            }
+            let stored = stored?;
+            if !request.predicate.matches(id, loc.subject, &stored.row) {
+                continue;
+            }
+            let row = match &view {
+                Some(v) => v.apply(&stored.row),
+                None => stored.row,
+            };
+            batch.push(PdRecord::new(
+                id,
+                request.data_type.clone(),
+                WrappedPd::new(row, stored.membrane),
+            ));
+        }
+        Ok(batch)
+    }
+
+    // Live versus tombstone bytes come from the record inodes' on-disk
+    // sizes, blocks from the device's allocation count; the call also
+    // refreshes the `space_amplification` gauge.  Sizes resolve against the
+    // published snapshot with no index lock held; a record reclaimed
+    // concurrently is simply skipped.
+    fn space_stats(&self) -> Result<SpaceStats, DbfsError> {
+        let snapshot = self.read_snapshot();
+        let mut stats = SpaceStats::default();
+        for loc in snapshot.records.values() {
+            let bytes = match self.fs.stat(loc.ino) {
+                Ok(inode) => inode.size,
+                // Reclaimed between the snapshot and this stat.
+                Err(rgpdos_inode::InodeError::BadInode { .. }) => continue,
+                Err(e) => return Err(e.into()),
+            };
+            if loc.erased {
+                stats.tombstone_records += 1;
+                stats.tombstone_bytes += bytes;
+            } else {
+                stats.live_records += 1;
+                stats.live_bytes += bytes;
+            }
+        }
+        stats.allocated_blocks = self.fs.allocated_blocks();
+        self.space
+            .set_amplification_x100(stats.amplification_x100());
+        Ok(stats)
+    }
+
+    // No extra retention policy: children before parents (see
+    // `Dbfs::scrub_tombstones_with`).
+    fn scrub_tombstones(&self) -> Result<ScrubReport, DbfsError> {
+        self.scrub_tombstones_with(|_| true)
+    }
+
+    // Checks the secondary indexes against the primary record map and the
+    // membrane headers on disk.  Expects a quiescent store: the disk
+    // comparison runs against an index snapshot, so a writer racing this
+    // call can make the two transiently disagree and produce a false
+    // corruption report.
+    fn verify_index_invariants(&self) -> Result<(), DbfsError> {
         let (records, by_table, by_subject, copies_of, by_expiry) = {
             let index = self.lock_index();
             (
@@ -3050,14 +2869,14 @@ mod tests {
             })
             .collect();
 
-        let ids = batched.collect_many("user", rows.clone()).unwrap();
+        let ids = batched.collect_many(&"user".into(), rows.clone()).unwrap();
         let mut seq_ids = Vec::new();
         for (subject, row) in rows {
-            seq_ids.push(sequential.collect("user", subject, row).unwrap());
+            seq_ids.push(sequential.collect(&"user".into(), subject, row).unwrap());
         }
         // Same identifiers, same visible records, same index state.
         assert_eq!(ids, seq_ids);
-        assert_eq!(batched.count(&"user".into()), 40);
+        assert_eq!(batched.count(&"user".into()).unwrap(), 40);
         for &id in &ids {
             let a = batched.get(&"user".into(), id).unwrap();
             let b = sequential.get(&"user".into(), id).unwrap();
@@ -3107,7 +2926,7 @@ mod tests {
             .collect();
         let ids = dbfs.insert_many(items).unwrap();
         assert_eq!(ids.len(), 30);
-        assert_eq!(dbfs.count(&"user".into()), 30);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 30);
         assert!(
             dbfs.inode_fs().journal_txs() > 1,
             "a 30-record batch cannot fit one 16-block journal transaction"
@@ -3125,16 +2944,16 @@ mod tests {
             (SubjectId::new(4), user_row("never", 1983)),
         ];
         assert!(matches!(
-            dbfs.collect_many("user", rows),
+            dbfs.collect_many(&"user".into(), rows),
             Err(DbfsError::Core(_))
         ));
         // The two valid rows before the failure are applied, nothing after.
-        assert_eq!(dbfs.count(&"user".into()), 2);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 2);
         assert_eq!(dbfs.stats().collects, 2);
         dbfs.verify_index_invariants().unwrap();
         // The id counter continues cleanly for later inserts.
         let next = dbfs
-            .collect("user", SubjectId::new(9), user_row("after", 1990))
+            .collect(&"user".into(), SubjectId::new(9), user_row("after", 1990))
             .unwrap();
         assert_eq!(next.raw(), 2);
     }
@@ -3146,7 +2965,7 @@ mod tests {
         let escrow = OperatorEscrow::new(authority.public_key());
         let ids = dbfs
             .collect_many(
-                "user",
+                &"user".into(),
                 (0..10u64)
                     .map(|i| (SubjectId::new(i), user_row(&format!("v{i}"), 1970)))
                     .collect(),
@@ -3213,7 +3032,7 @@ mod tests {
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
             .collect(
-                "user",
+                &"user".into(),
                 SubjectId::new(1),
                 user_row("CACHE-RESIDUE-CANARY-77", 1990),
             )
@@ -3237,13 +3056,13 @@ mod tests {
             Err(DbfsError::TypeAlreadyExists { .. })
         ));
         let id = dbfs
-            .collect("user", SubjectId::new(1), user_row("Chiraz", 1990))
+            .collect(&"user".into(), SubjectId::new(1), user_row("Chiraz", 1990))
             .unwrap();
         let record = dbfs.get(&"user".into(), id).unwrap();
         assert_eq!(record.subject(), SubjectId::new(1));
         assert_eq!(record.row().get("name").unwrap().as_text(), Some("Chiraz"));
         assert!(!record.membrane().is_erased());
-        assert_eq!(dbfs.count(&"user".into()), 1);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 1);
         assert_eq!(dbfs.subjects(), vec![SubjectId::new(1)]);
         assert_eq!(dbfs.stats().collects, 1);
     }
@@ -3255,7 +3074,7 @@ mod tests {
         // `insert_wrapped` takes a WrappedPd which cannot be built without one.
         let dbfs = dbfs();
         let id = dbfs
-            .collect("user", SubjectId::new(4), user_row("Anyone", 1980))
+            .collect(&"user".into(), SubjectId::new(4), user_row("Anyone", 1980))
             .unwrap();
         for (pd, membrane) in dbfs.load_membranes(&"user".into()).unwrap() {
             assert_eq!(pd, id);
@@ -3268,11 +3087,11 @@ mod tests {
         let dbfs = dbfs();
         let bad = Row::new().with("name", "X");
         assert!(matches!(
-            dbfs.collect("user", SubjectId::new(1), bad),
+            dbfs.collect(&"user".into(), SubjectId::new(1), bad),
             Err(DbfsError::Core(_))
         ));
         assert!(matches!(
-            dbfs.collect("ghost", SubjectId::new(1), user_row("X", 1990)),
+            dbfs.collect(&"ghost".into(), SubjectId::new(1), user_row("X", 1990)),
             Err(DbfsError::UnknownType { .. })
         ));
     }
@@ -3281,7 +3100,7 @@ mod tests {
     fn update_and_membrane_delta() {
         let dbfs = dbfs();
         let id = dbfs
-            .collect("user", SubjectId::new(2), user_row("Old", 1970))
+            .collect(&"user".into(), SubjectId::new(2), user_row("Old", 1970))
             .unwrap();
         dbfs.update_row(&"user".into(), id, user_row("New", 1970))
             .unwrap();
@@ -3331,13 +3150,13 @@ mod tests {
         let authority = Authority::generate(9);
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
-            .collect("user", SubjectId::new(3), user_row("Copied", 1985))
+            .collect(&"user".into(), SubjectId::new(3), user_row("Copied", 1985))
             .unwrap();
         let copy = dbfs.copy(&"user".into(), id).unwrap();
         let copy_record = dbfs.get(&"user".into(), copy).unwrap();
         assert_eq!(copy_record.membrane().copied_from(), Some(id));
         assert_eq!(copy_record.subject(), SubjectId::new(3));
-        assert_eq!(dbfs.count(&"user".into()), 2);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 2);
 
         dbfs.erase(&"user".into(), id, &escrow).unwrap();
         // Both the original and its copy are erased.
@@ -3347,7 +3166,7 @@ mod tests {
             .unwrap()
             .membrane()
             .is_erased());
-        assert_eq!(dbfs.count(&"user".into()), 0);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 0);
         assert!(matches!(
             dbfs.copy(&"user".into(), id),
             Err(DbfsError::Erased { .. })
@@ -3367,7 +3186,7 @@ mod tests {
         let authority = Authority::generate(13);
         let escrow = OperatorEscrow::new(authority.public_key());
         let original = dbfs
-            .collect("user", SubjectId::new(6), user_row("Chain", 1988))
+            .collect(&"user".into(), SubjectId::new(6), user_row("Chain", 1988))
             .unwrap();
         let copy = dbfs.copy(&"user".into(), original).unwrap();
         let copy_of_copy = dbfs.copy(&"user".into(), copy).unwrap();
@@ -3388,7 +3207,7 @@ mod tests {
                 id.raw()
             );
         }
-        assert_eq!(dbfs.count(&"user".into()), 0);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 0);
         assert_eq!(dbfs.stats().erasures, 3);
         // Every hop's erasure is individually audited.
         assert_eq!(
@@ -3408,7 +3227,7 @@ mod tests {
         let authority = Authority::generate(21);
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
-            .collect("user", SubjectId::new(2), user_row("Gone", 1970))
+            .collect(&"user".into(), SubjectId::new(2), user_row("Gone", 1970))
             .unwrap();
         dbfs.erase(&"user".into(), id, &escrow).unwrap();
         let membrane = Membrane::from_schema(
@@ -3424,7 +3243,7 @@ mod tests {
             ),
             Err(DbfsError::Erased { .. })
         ));
-        assert_eq!(dbfs.count(&"user".into()), 0);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 0);
         dbfs.verify_index_invariants().unwrap();
     }
 
@@ -3509,9 +3328,9 @@ mod tests {
 
         // A second mount takes the v2 header-only path and keeps working.
         let dbfs = Dbfs::mount(device).unwrap();
-        assert_eq!(dbfs.count(&"user".into()), 2);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 2);
         let id = dbfs
-            .collect("user", SubjectId::new(9), user_row("New", 2000))
+            .collect(&"user".into(), SubjectId::new(9), user_row("New", 2000))
             .unwrap();
         assert_eq!(id, PdId::new(2));
         dbfs.verify_index_invariants().unwrap();
@@ -3531,7 +3350,7 @@ mod tests {
         let blob = "x".repeat(8 * 512);
         for i in 0..4u64 {
             dbfs.collect(
-                "user",
+                &"user".into(),
                 SubjectId::new(i),
                 Row::new()
                     .with("name", blob.as_str())
@@ -3570,7 +3389,7 @@ mod tests {
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
             .collect(
-                "user",
+                &"user".into(),
                 SubjectId::new(5),
                 user_row("FORGOTTEN-NAME-XYZ", 1999),
             )
@@ -3613,13 +3432,13 @@ mod tests {
         let escrow = OperatorEscrow::new(authority.public_key());
         for i in 0..5 {
             dbfs.collect(
-                "user",
+                &"user".into(),
                 SubjectId::new(10),
                 user_row(&format!("dup-{i}"), 1990 + i),
             )
             .unwrap();
         }
-        dbfs.collect("user", SubjectId::new(11), user_row("other", 1970))
+        dbfs.collect(&"user".into(), SubjectId::new(11), user_row("other", 1970))
             .unwrap();
         assert_eq!(
             dbfs.records_of_subject(SubjectId::new(10)).unwrap().len(),
@@ -3643,7 +3462,11 @@ mod tests {
         let authority = Authority::generate(5);
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
-            .collect("user", SubjectId::new(1), user_row("Expiring", 1990))
+            .collect(
+                &"user".into(),
+                SubjectId::new(1),
+                user_row("Expiring", 1990),
+            )
             .unwrap();
         // Nothing expires immediately.
         assert!(dbfs.purge_expired(&escrow).unwrap().is_empty());
@@ -3662,7 +3485,7 @@ mod tests {
         let dbfs = dbfs();
         for i in 0..10 {
             dbfs.collect(
-                "user",
+                &"user".into(),
                 SubjectId::new(i % 3),
                 user_row(&format!("user-{i}"), 1960 + i as i64),
             )
@@ -3709,14 +3532,18 @@ mod tests {
             let dbfs = Dbfs::format(Arc::clone(&device), DbfsParams::small()).unwrap();
             dbfs.create_type(listing1_user_schema()).unwrap();
             id = dbfs
-                .collect("user", SubjectId::new(7), user_row("Persisted", 2001))
+                .collect(
+                    &"user".into(),
+                    SubjectId::new(7),
+                    user_row("Persisted", 2001),
+                )
                 .unwrap();
-            dbfs.collect("user", SubjectId::new(8), user_row("Another", 2002))
+            dbfs.collect(&"user".into(), SubjectId::new(8), user_row("Another", 2002))
                 .unwrap();
         }
         let dbfs = Dbfs::mount(Arc::clone(&device)).unwrap();
         assert_eq!(dbfs.types(), vec![DataTypeId::from("user")]);
-        assert_eq!(dbfs.count(&"user".into()), 2);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 2);
         let record = dbfs.get(&"user".into(), id).unwrap();
         assert_eq!(
             record.row().get("name").unwrap().as_text(),
@@ -3724,7 +3551,7 @@ mod tests {
         );
         // New identifiers do not collide with pre-remount ones.
         let new_id = dbfs
-            .collect("user", SubjectId::new(7), user_row("Fresh", 2003))
+            .collect(&"user".into(), SubjectId::new(7), user_row("Fresh", 2003))
             .unwrap();
         assert!(new_id.raw() > id.raw());
         // Mounting a non-DBFS device fails cleanly.
@@ -3768,7 +3595,7 @@ mod tests {
         let authority = Authority::generate(2);
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
-            .collect("user", SubjectId::new(1), user_row("Audited", 1991))
+            .collect(&"user".into(), SubjectId::new(1), user_row("Audited", 1991))
             .unwrap();
         dbfs.update_row(&"user".into(), id, user_row("Audited2", 1991))
             .unwrap();
@@ -3801,7 +3628,7 @@ mod tests {
         for i in 0..6 {
             let id = dbfs
                 .collect(
-                    "user",
+                    &"user".into(),
                     SubjectId::new(i % 2),
                     user_row(&format!("scrub-{i}"), 1980 + i as i64),
                 )
@@ -3828,7 +3655,7 @@ mod tests {
         assert_eq!(after.amplification(), 1.0);
         assert!(after.allocated_blocks < before.allocated_blocks);
         assert_eq!(dbfs.tombstones_reclaimed(), 4);
-        assert_eq!(dbfs.count(&"user".into()), 2);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 2);
         dbfs.verify_index_invariants().unwrap();
 
         // Each reclamation is audited; a reclaimed id reads as unknown.
@@ -3858,7 +3685,7 @@ mod tests {
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
             .collect(
-                "user",
+                &"user".into(),
                 SubjectId::new(3),
                 user_row("SCRUB-TARGET-ABC", 1988),
             )
@@ -3889,7 +3716,7 @@ mod tests {
         let authority = Authority::generate(13);
         let escrow = OperatorEscrow::new(authority.public_key());
         let original = dbfs
-            .collect("user", SubjectId::new(1), user_row("Chain", 1990))
+            .collect(&"user".into(), SubjectId::new(1), user_row("Chain", 1990))
             .unwrap();
         let copy = dbfs.copy(&"user".into(), original).unwrap();
         let grandcopy = dbfs.copy(&"user".into(), copy).unwrap();
@@ -3912,7 +3739,7 @@ mod tests {
         let authority = Authority::generate(17);
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
-            .collect("user", SubjectId::new(1), user_row("Held", 1991))
+            .collect(&"user".into(), SubjectId::new(1), user_row("Held", 1991))
             .unwrap();
         dbfs.erase(&"user".into(), id, &escrow).unwrap();
         // A routed erasure still in flight names the tombstone.
@@ -3943,10 +3770,10 @@ mod tests {
         let authority = Authority::generate(19);
         let escrow = OperatorEscrow::new(authority.public_key());
         let keep = dbfs
-            .collect("user", SubjectId::new(1), user_row("Keep", 1990))
+            .collect(&"user".into(), SubjectId::new(1), user_row("Keep", 1990))
             .unwrap();
         let free = dbfs
-            .collect("user", SubjectId::new(1), user_row("Free", 1991))
+            .collect(&"user".into(), SubjectId::new(1), user_row("Free", 1991))
             .unwrap();
         dbfs.erase_subject(SubjectId::new(1), &escrow).unwrap();
         let report = dbfs.scrub_tombstones_with(|id| id != keep).unwrap();
@@ -3967,10 +3794,10 @@ mod tests {
         let authority = Authority::generate(23);
         let escrow = OperatorEscrow::new(authority.public_key());
         let gone = dbfs
-            .collect("user", SubjectId::new(1), user_row("Gone", 1990))
+            .collect(&"user".into(), SubjectId::new(1), user_row("Gone", 1990))
             .unwrap();
         let stays = dbfs
-            .collect("user", SubjectId::new(2), user_row("Stays", 1991))
+            .collect(&"user".into(), SubjectId::new(2), user_row("Stays", 1991))
             .unwrap();
         dbfs.erase(&"user".into(), gone, &escrow).unwrap();
         dbfs.scrub_tombstones().unwrap();
@@ -3988,7 +3815,7 @@ mod tests {
         );
         // The healed id counter never recycles a reclaimed id.
         let fresh = remounted
-            .collect("user", SubjectId::new(3), user_row("Fresh", 1992))
+            .collect(&"user".into(), SubjectId::new(3), user_row("Fresh", 1992))
             .unwrap();
         assert!(fresh.raw() > stays.raw());
         remounted.verify_index_invariants().unwrap();
@@ -4002,7 +3829,11 @@ mod tests {
         let authority = Authority::generate(29);
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
-            .collect("user", SubjectId::new(1), user_row("Background", 1990))
+            .collect(
+                &"user".into(),
+                SubjectId::new(1),
+                user_row("Background", 1990),
+            )
             .unwrap();
         dbfs.erase(&"user".into(), id, &escrow).unwrap();
         let scrubber =
@@ -4028,7 +3859,7 @@ mod tests {
         dbfs.attach_trace(&a);
         dbfs.attach_trace_as(&b, &[("shard", "1")]);
         for year in 1980..1983 {
-            dbfs.collect("user", SubjectId::new(1), user_row("once", year))
+            dbfs.collect(&"user".into(), SubjectId::new(1), user_row("once", year))
                 .unwrap();
         }
         dbfs.query(&QueryRequest::all("user")).unwrap();

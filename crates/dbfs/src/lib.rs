@@ -41,13 +41,13 @@
 //! records actually involved), a **reverse copy-lineage** map (so the right
 //! to be forgotten reaches every *transitive* copy via a pure index walk),
 //! and an **expiry** map keyed by expiry instant (so retention sweeps only
-//! visit records that actually expired).  `Dbfs::verify_index_invariants`
+//! visit records that actually expired).  [`PdStore::verify_index_invariants`]
 //! checks all of them against the primary map and the on-disk headers.
 //!
 //! ## Batched writes: journal group commit
 //!
-//! The hot write path is batched: [`Dbfs::collect_many`],
-//! [`Dbfs::insert_many`] and [`Dbfs::update_rows`] coalesce N independent
+//! The hot write path is batched: [`PdStore::collect_many`],
+//! [`PdStore::insert_many`] and [`PdStore::update_rows`] coalesce N independent
 //! mutations into shared compound transactions (**group commits**), cut at
 //! the inode journal's capacity bound so each group — and therefore each
 //! record — stays crash-atomic.  Reads are served through the inode
@@ -56,13 +56,21 @@
 //! barrier) and is updated in place by crypto-erasure writes, so no erased
 //! plaintext survives in memory either.
 //!
+//! ## One storage API
+//!
+//! [`PdStore`] is the only record-level surface: [`Dbfs`] implements it
+//! directly, with no inherent copies of its methods, so callers import the
+//! trait (`rgpdos::prelude` re-exports it).  What stays inherent is specific
+//! to DBFS: format/mount, cache control, erase intents and the index views a
+//! routing layer needs.
+//!
 //! ## Example
 //!
 //! ```rust
 //! use rgpdos_blockdev::MemDevice;
 //! use rgpdos_core::prelude::*;
 //! use rgpdos_core::schema::listing1_user_schema;
-//! use rgpdos_dbfs::{Dbfs, DbfsParams};
+//! use rgpdos_dbfs::{Dbfs, DbfsParams, PdStore};
 //! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), rgpdos_dbfs::DbfsError> {
@@ -72,8 +80,9 @@
 //!     .with("name", "Chiraz")
 //!     .with("pwd", "secret")
 //!     .with("year_of_birthdate", 1990i64);
-//! let id = dbfs.collect("user", SubjectId::new(1), row)?;
-//! let record = dbfs.get(&"user".into(), id)?;
+//! let user = DataTypeId::from("user");
+//! let id = dbfs.collect(&user, SubjectId::new(1), row)?;
+//! let record = dbfs.get(&user, id)?;
 //! assert_eq!(record.membrane().subject(), SubjectId::new(1));
 //! # Ok(())
 //! # }

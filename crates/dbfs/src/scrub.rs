@@ -7,7 +7,7 @@
 //! **space amplification** — total record bytes over live record bytes —
 //! grows without bound.
 //!
-//! The scrubber closes that hole.  [`Dbfs::scrub_tombstones`] reclaims the
+//! The scrubber closes that hole.  [`PdStore::scrub_tombstones`] reclaims the
 //! on-disk footprint of tombstones whose erasure receipt is durable:
 //!
 //! * each reclamation is **one compound transaction** (both tree entries
@@ -23,14 +23,12 @@
 //! * every reclamation is audited as an explicit
 //!   [`AuditEventKind::Reclaimed`](rgpdos_core::AuditEventKind) event.
 //!
-//! [`Dbfs::space_stats`] measures the amplification; the
+//! [`PdStore::space_stats`] measures the amplification; the
 //! `space_amplification` / `tombstones_reclaimed` gauges surface both in the
 //! metrics snapshot once a trace context is attached.  [`Scrubber`] is the
 //! background driver: a thread that runs periodic scrub passes over any
 //! [`PdStore`] until dropped.
 //!
-//! [`Dbfs::scrub_tombstones`]: crate::Dbfs::scrub_tombstones
-//! [`Dbfs::space_stats`]: crate::Dbfs::space_stats
 //! [`EraseIntent`]: crate::EraseIntent
 //! [`PdStore`]: crate::PdStore
 
@@ -136,7 +134,7 @@ impl ScrubReport {
 }
 
 /// The space gauges a store keeps current across scrub passes and
-/// [`space_stats`](crate::Dbfs::space_stats) calls, read by the
+/// [`space_stats`](PdStore::space_stats) calls, read by the
 /// `space_amplification` / `tombstones_reclaimed` gauge closures without any
 /// device I/O.
 #[derive(Debug)]

@@ -2,7 +2,7 @@
 //!
 //! The tallies are `rgpdos_trace` [`Counter`]s — shared atomics a metrics
 //! registry can adopt (`DbfsStatsInner::register`, wired by
-//! `Dbfs::attach_trace`) so one `MetricsSnapshot` covers the store while
+//! `PdStore::attach_trace`) so one `MetricsSnapshot` covers the store while
 //! [`DbfsStats`] stays available as a thin snapshot view over the very
 //! same counters.
 

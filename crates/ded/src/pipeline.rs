@@ -412,10 +412,10 @@ mod tests {
         let h = harness();
         let dbfs = h.ded.dbfs();
         let id1 = dbfs
-            .collect("user", SubjectId::new(1), user_row("A", 1990))
+            .collect(&"user".into(), SubjectId::new(1), user_row("A", 1990))
             .unwrap();
         let _id2 = dbfs
-            .collect("user", SubjectId::new(2), user_row("B", 1980))
+            .collect(&"user".into(), SubjectId::new(2), user_row("B", 1980))
             .unwrap();
         // Subject 1 withdraws purpose3 (it was granted by default consent
         // under legitimate interest, so the subject sets it to none through a
@@ -448,7 +448,7 @@ mod tests {
     fn view_restriction_hides_fields_from_the_implementation() {
         let h = harness();
         let dbfs = h.ded.dbfs();
-        dbfs.collect("user", SubjectId::new(1), user_row("Hidden", 1970))
+        dbfs.collect(&"user".into(), SubjectId::new(1), user_row("Hidden", 1970))
             .unwrap();
         // Register a processing that tries to read the name under purpose3
         // (restricted to v_ano, which only exposes the birth year).
@@ -476,7 +476,7 @@ mod tests {
     fn produced_personal_data_is_stored_and_returned_by_reference() {
         let h = harness();
         let dbfs = h.ded.dbfs();
-        dbfs.collect("user", SubjectId::new(7), user_row("Derive", 1992))
+        dbfs.collect(&"user".into(), SubjectId::new(7), user_row("Derive", 1992))
             .unwrap();
         let spec = ProcessingSpec::builder("materialize_age", "user")
             .source("/* purpose1 */ fn materialize_age() {}")
@@ -514,7 +514,7 @@ mod tests {
         let h = harness();
         h.ded
             .dbfs()
-            .collect("user", SubjectId::new(1), user_row("X", 1990))
+            .collect(&"user".into(), SubjectId::new(1), user_row("X", 1990))
             .unwrap();
         let spec = ProcessingSpec::builder("bad_output", "user")
             .source("/* purpose1 */")
@@ -575,11 +575,11 @@ mod tests {
         let h = harness();
         let dbfs = h.ded.dbfs();
         let id1 = dbfs
-            .collect("user", SubjectId::new(1), user_row("A", 1990))
+            .collect(&"user".into(), SubjectId::new(1), user_row("A", 1990))
             .unwrap();
-        dbfs.collect("user", SubjectId::new(2), user_row("B", 1980))
+        dbfs.collect(&"user".into(), SubjectId::new(2), user_row("B", 1980))
             .unwrap();
-        dbfs.collect("user", SubjectId::new(2), user_row("C", 1970))
+        dbfs.collect(&"user".into(), SubjectId::new(2), user_row("C", 1970))
             .unwrap();
 
         let single = h
@@ -632,7 +632,7 @@ mod tests {
         let h = harness();
         let dbfs = h.ded.dbfs();
         let id = dbfs
-            .collect("user", SubjectId::new(1), user_row("Logged", 1990))
+            .collect(&"user".into(), SubjectId::new(1), user_row("Logged", 1990))
             .unwrap();
         h.ded
             .invoke(h.compute_age, InvokeRequest::whole_type())

@@ -241,11 +241,11 @@ mod tests {
     fn right_of_access_returns_structured_export() {
         let (engine, _) = engine();
         let dbfs = engine.dbfs();
-        dbfs.collect("user", SubjectId::new(1), user_row("Chiraz", 1990))
+        dbfs.collect(&"user".into(), SubjectId::new(1), user_row("Chiraz", 1990))
             .unwrap();
-        dbfs.collect("user", SubjectId::new(1), user_row("Chiraz2", 1991))
+        dbfs.collect(&"user".into(), SubjectId::new(1), user_row("Chiraz2", 1991))
             .unwrap();
-        dbfs.collect("user", SubjectId::new(2), user_row("Other", 1970))
+        dbfs.collect(&"user".into(), SubjectId::new(2), user_row("Other", 1970))
             .unwrap();
 
         let package = engine.right_of_access(SubjectId::new(1)).unwrap();
@@ -276,7 +276,7 @@ mod tests {
         let (engine, _) = engine();
         engine
             .dbfs()
-            .collect("user", SubjectId::new(5), user_row("Port", 1988))
+            .collect(&"user".into(), SubjectId::new(5), user_row("Port", 1988))
             .unwrap();
         let package = engine.right_to_portability(SubjectId::new(5)).unwrap();
         assert_eq!(package.items.len(), 1);
@@ -289,7 +289,11 @@ mod tests {
         let (engine, device) = engine();
         let dbfs = engine.dbfs();
         let id = dbfs
-            .collect("user", SubjectId::new(9), user_row("ERASE-ME-PLEASE", 1990))
+            .collect(
+                &"user".into(),
+                SubjectId::new(9),
+                user_row("ERASE-ME-PLEASE", 1990),
+            )
             .unwrap();
         dbfs.copy(&"user".into(), id).unwrap();
         let receipt = engine.right_to_be_forgotten(SubjectId::new(9)).unwrap();
@@ -308,7 +312,7 @@ mod tests {
         let (engine, _) = engine();
         let dbfs = engine.dbfs();
         let id = dbfs
-            .collect("user", SubjectId::new(2), user_row("Wrnog", 1990))
+            .collect(&"user".into(), SubjectId::new(2), user_row("Wrnog", 1990))
             .unwrap();
         engine
             .right_to_rectification(&"user".into(), id, user_row("Right", 1990))
@@ -335,7 +339,7 @@ mod tests {
         let (engine, _) = engine();
         let dbfs = engine.dbfs();
         let id = dbfs
-            .collect("user", SubjectId::new(3), user_row("Consent", 1990))
+            .collect(&"user".into(), SubjectId::new(3), user_row("Consent", 1990))
             .unwrap();
         // Grant a new purpose, check, withdraw, check again.
         let purpose = PurposeId::from("newsletter");
@@ -371,7 +375,7 @@ mod tests {
     fn retention_enforcement() {
         let (engine, _) = engine();
         let dbfs = engine.dbfs();
-        dbfs.collect("user", SubjectId::new(4), user_row("Old", 1950))
+        dbfs.collect(&"user".into(), SubjectId::new(4), user_row("Old", 1950))
             .unwrap();
         assert!(engine.enforce_retention().unwrap().is_empty());
         dbfs.clock().advance(Duration::from_days(400));

@@ -37,7 +37,7 @@
 //! use rgpdos_blockdev::MemDevice;
 //! use rgpdos_core::prelude::*;
 //! use rgpdos_core::schema::listing1_user_schema;
-//! use rgpdos_dbfs::DbfsParams;
+//! use rgpdos_dbfs::{DbfsParams, PdStore};
 //! use rgpdos_shard::ShardedDbfs;
 //! use std::sync::Arc;
 //!
@@ -49,10 +49,11 @@
 //!     .with("name", "Chiraz")
 //!     .with("pwd", "secret")
 //!     .with("year_of_birthdate", 1990i64);
-//! let id = sharded.collect("user", SubjectId::new(1), row)?;
+//! let user = DataTypeId::from("user");
+//! let id = sharded.collect(&user, SubjectId::new(1), row)?;
 //! // The id was allocated on the subject's home shard.
 //! assert_eq!(sharded.shard_of_id(id), sharded.home_shard(SubjectId::new(1)));
-//! assert_eq!(sharded.count(&"user".into()).unwrap(), 1);
+//! assert_eq!(sharded.count(&user)?, 1);
 //! # Ok(())
 //! # }
 //! ```

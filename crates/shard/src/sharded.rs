@@ -228,7 +228,7 @@ pub struct ShardedDbfs<D: BlockDevice + 'static> {
     /// marks it pre-announced.
     erasures: Mutex<()>,
     /// Router-level observability, set once by the first
-    /// [`ShardedDbfs::attach_trace`].  Unset until then.
+    /// [`PdStore::attach_trace`].  Unset until then.
     trace: OnceLock<ShardTrace>,
 }
 
@@ -314,8 +314,8 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
     /// per-shard indexes (membrane headers only — no payload reads).
     ///
     /// Mounting completes any **crashed two-phase erasure**: erase intents
-    /// persisted by [`ShardedDbfs::erase`] / [`ShardedDbfs::erase_subject`] /
-    /// [`ShardedDbfs::purge_expired`] before the crash are re-driven to
+    /// persisted by [`PdStore::erase`] / [`PdStore::erase_subject`] /
+    /// [`PdStore::purge_expired`] before the crash are re-driven to
     /// completion (using an escrow rebuilt from the intent's authority key),
     /// followed by a lineage heal that erases any live record left with an
     /// erased ancestor.  Completed intents are counted in the involved
@@ -540,24 +540,6 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         &self.shards
     }
 
-    /// The shared clock.
-    pub fn clock(&self) -> Arc<LogicalClock> {
-        Arc::clone(&self.clock)
-    }
-
-    /// The shared audit log.
-    pub fn audit(&self) -> AuditLog {
-        self.audit.clone()
-    }
-
-    /// Merged operation counters across every shard.
-    pub fn stats(&self) -> DbfsStats {
-        self.shards
-            .iter()
-            .map(|shard| shard.stats())
-            .fold(DbfsStats::default(), DbfsStats::merge)
-    }
-
     /// Per-shard load plus merged counters (records-per-shard balance).
     pub fn sharded_stats(&self) -> ShardedStats {
         let per_shard = self.pool.scatter(|shard, dbfs| {
@@ -576,127 +558,9 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         ShardedStats { per_shard, totals }
     }
 
-    /// Attaches an observability context to the whole deployment: every
-    /// shard registers its counters and latency histograms under a
-    /// `shard="i"` label, per-shard balance is exported as derived gauges
-    /// (`shard_live_records` / `shard_tombstones`, read at snapshot time),
-    /// and the router itself records scatter-gather spans plus a
-    /// `shard_query_fanout` histogram of how many shards each query
-    /// touched.
-    ///
-    /// The first attach wins: a later call is a no-op that registers
-    /// nothing in its `ctx`.
-    pub fn attach_trace(&self, ctx: &rgpdos_trace::TraceCtx) {
-        let mut first = false;
-        self.trace.get_or_init(|| {
-            first = true;
-            ShardTrace {
-                tracer: Arc::clone(&ctx.tracer),
-                fanout: ctx.registry.histogram("shard_query_fanout"),
-            }
-        });
-        if !first {
-            return;
-        }
-        for (i, shard) in self.shards.iter().enumerate() {
-            let index = i.to_string();
-            shard.attach_trace_as(ctx, &[("shard", &index)]);
-            let live = Arc::clone(shard);
-            ctx.registry
-                .gauge_fn("shard_live_records", &[("shard", &index)], move || {
-                    i64::try_from(live.record_counts().0).unwrap_or(i64::MAX)
-                });
-            let dead = Arc::clone(shard);
-            ctx.registry
-                .gauge_fn("shard_tombstones", &[("shard", &index)], move || {
-                    i64::try_from(dead.record_counts().1).unwrap_or(i64::MAX)
-                });
-        }
-        ctx.registry
-            .gauge("shard_count")
-            .set(i64::try_from(self.shards.len()).unwrap_or(i64::MAX));
-    }
-
-    // ------------------------------------------------------------------
-    // Schema management (broadcast)
-    // ------------------------------------------------------------------
-
-    /// Installs a type on every shard (shards stay schema-identical).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::TypeAlreadyExists`] when the type exists.
-    pub fn create_type(&self, schema: DataTypeSchema) -> Result<(), DbfsError> {
-        for shard in &self.shards {
-            shard.create_type(schema.clone())?;
-        }
-        Ok(())
-    }
-
-    /// Returns the schema of a type.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownType`].
-    pub fn schema(&self, name: &DataTypeId) -> Result<DataTypeSchema, DbfsError> {
-        self.shards[0].schema(name)
-    }
-
-    /// The installed type names.
-    pub fn types(&self) -> Vec<DataTypeId> {
-        self.shards[0].types()
-    }
-
-    /// Live records of a type, summed over a scatter across every shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::PartialScatter`] when any shard fails to answer
-    /// (for example because the type is missing there): a sum over the
-    /// remaining shards would be an undercount presented as a total.
-    pub fn count(&self, name: &DataTypeId) -> Result<usize, DbfsError> {
-        let name = name.clone();
-        let counts = gather_scatter(
-            0..self.shards.len(),
-            self.pool.scatter(move |_, dbfs| dbfs.try_count(&name)),
-        )?;
-        Ok(counts.into_iter().sum())
-    }
-
     // ------------------------------------------------------------------
     // Record lifecycle
     // ------------------------------------------------------------------
-
-    /// The `acquisition` built-in, routed to the subject's home shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownType`] or [`DbfsError::Core`] on schema
-    /// mismatch.
-    pub fn collect(
-        &self,
-        data_type: impl Into<DataTypeId>,
-        subject: SubjectId,
-        row: Row,
-    ) -> Result<PdId, DbfsError> {
-        self.shards[self.home_shard(subject)].collect(data_type, subject, row)
-    }
-
-    /// Stores an already-wrapped record on its subject's home shard,
-    /// registering any lineage the membrane carries.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedDbfs::collect`], plus [`DbfsError::Erased`] when the
-    /// membrane's lineage chain is already tombstoned.
-    pub fn insert_wrapped(
-        &self,
-        data_type: &DataTypeId,
-        wrapped: WrappedPd,
-    ) -> Result<PdId, DbfsError> {
-        let target = self.home_shard(wrapped.membrane().subject());
-        self.store_routed(data_type, wrapped, target)
-    }
 
     /// Stores a wrapped record on an explicit target shard.
     ///
@@ -747,29 +611,134 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         Ok(id)
     }
 
-    /// Batched `acquisition`: the rows are grouped by home shard and every
-    /// involved shard ingests its group through [`Dbfs::collect_many`]'s
-    /// journal group commit — the scatter-write analogue of the
-    /// scatter-gather read path.  The groups run concurrently on the worker
-    /// pool: each shard appends to its own audit stream with a dense
-    /// per-shard sequence, and the streams merge by Lamport stamp, so the
-    /// crash-matrix's audit-prefix invariant holds per stream without
-    /// serializing the shards.  The batching win — one journal transaction
-    /// per group instead of per record — is per-shard and unaffected.
-    /// Returns the assigned identifiers in input order.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedDbfs::collect`]; the lowest failing shard's error
-    /// is reported.  On error, each shard has applied a clean prefix of its
-    /// own group (per-record atomicity holds everywhere); rows routed to
-    /// other shards may or may not have been applied.
-    pub fn collect_many(
+    /// Drops every shard's inode-layer buffer cache (cold-path
+    /// measurements; correctness never requires it).
+    pub fn drop_caches(&self) {
+        for shard in &self.shards {
+            shard.drop_caches();
+        }
+    }
+
+    /// Total tombstones reclaimed by scrub passes since mount, summed over
+    /// the shards.
+    pub fn tombstones_reclaimed(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|shard| shard.tombstones_reclaimed())
+            .sum()
+    }
+}
+
+impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
+    fn clock(&self) -> Arc<LogicalClock> {
+        Arc::clone(&self.clock)
+    }
+
+    fn audit(&self) -> AuditLog {
+        self.audit.clone()
+    }
+
+    fn stats(&self) -> DbfsStats {
+        self.shards
+            .iter()
+            .map(|shard| shard.stats())
+            .fold(DbfsStats::default(), DbfsStats::merge)
+    }
+
+    // Every shard registers its counters and latency histograms under a
+    // `shard="i"` label, per-shard balance is exported as derived gauges
+    // (`shard_live_records` / `shard_tombstones`, read at snapshot time),
+    // and the router itself records scatter-gather spans plus a
+    // `shard_query_fanout` histogram of how many shards each query touched.
+    fn attach_trace(&self, ctx: &rgpdos_trace::TraceCtx) {
+        let mut first = false;
+        self.trace.get_or_init(|| {
+            first = true;
+            ShardTrace {
+                tracer: Arc::clone(&ctx.tracer),
+                fanout: ctx.registry.histogram("shard_query_fanout"),
+            }
+        });
+        if !first {
+            return;
+        }
+        for (i, shard) in self.shards.iter().enumerate() {
+            let index = i.to_string();
+            shard.attach_trace_as(ctx, &[("shard", &index)]);
+            let live = Arc::clone(shard);
+            ctx.registry
+                .gauge_fn("shard_live_records", &[("shard", &index)], move || {
+                    i64::try_from(live.record_counts().0).unwrap_or(i64::MAX)
+                });
+            let dead = Arc::clone(shard);
+            ctx.registry
+                .gauge_fn("shard_tombstones", &[("shard", &index)], move || {
+                    i64::try_from(dead.record_counts().1).unwrap_or(i64::MAX)
+                });
+        }
+        ctx.registry
+            .gauge("shard_count")
+            .set(i64::try_from(self.shards.len()).unwrap_or(i64::MAX));
+    }
+
+    // Installed on every shard, so shards stay schema-identical.
+    fn create_type(&self, schema: DataTypeSchema) -> Result<(), DbfsError> {
+        for shard in &self.shards {
+            shard.create_type(schema.clone())?;
+        }
+        Ok(())
+    }
+
+    fn schema(&self, name: &DataTypeId) -> Result<DataTypeSchema, DbfsError> {
+        self.shards[0].schema(name)
+    }
+
+    fn types(&self) -> Vec<DataTypeId> {
+        self.shards[0].types()
+    }
+
+    fn count(&self, name: &DataTypeId) -> Result<usize, DbfsError> {
+        let name = name.clone();
+        let counts = gather_scatter(
+            0..self.shards.len(),
+            self.pool.scatter(move |_, dbfs| dbfs.count(&name)),
+        )?;
+        Ok(counts.into_iter().sum())
+    }
+
+    fn collect(
         &self,
-        data_type: impl Into<DataTypeId>,
+        data_type: &DataTypeId,
+        subject: SubjectId,
+        row: Row,
+    ) -> Result<PdId, DbfsError> {
+        self.shards[self.home_shard(subject)].collect(data_type, subject, row)
+    }
+
+    fn insert_wrapped(
+        &self,
+        data_type: &DataTypeId,
+        wrapped: WrappedPd,
+    ) -> Result<PdId, DbfsError> {
+        let target = self.home_shard(wrapped.membrane().subject());
+        self.store_routed(data_type, wrapped, target)
+    }
+
+    // Batched `acquisition`: the rows are grouped by home shard and every
+    // involved shard ingests its group through its own `collect_many`
+    // journal group commit — the scatter-write analogue of the
+    // scatter-gather read path.  The groups run concurrently on the worker
+    // pool: each shard appends to its own audit stream with a dense
+    // per-shard sequence, and the streams merge by Lamport stamp, so the
+    // crash-matrix's audit-prefix invariant holds per stream without
+    // serializing the shards.  The batching win — one journal transaction
+    // per group instead of per record — is per-shard and unaffected.
+    // Returns the assigned identifiers in input order.
+    fn collect_many(
+        &self,
+        data_type: &DataTypeId,
         rows: Vec<(SubjectId, Row)>,
     ) -> Result<Vec<PdId>, DbfsError> {
-        let data_type = data_type.into();
         if rows.is_empty() {
             return Ok(Vec::new());
         }
@@ -796,7 +765,7 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
                 .lock()
                 .take()
                 .expect("each involved shard runs exactly once");
-            dbfs.collect_many(name.clone(), batch)
+            dbfs.collect_many(&name, batch)
         });
         let mut ids: Vec<Option<PdId>> = vec![None; total];
         for (&shard, result) in involved.iter().zip(results) {
@@ -810,18 +779,13 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
             .collect())
     }
 
-    /// Batched [`ShardedDbfs::insert_wrapped`]: lineage-free records are
-    /// batch-routed to their home shards (group commit per shard, groups
-    /// run concurrently on the worker pool — see
-    /// [`ShardedDbfs::collect_many`]); records carrying lineage go through
-    /// the directory-registering single-record path.  Returns the
-    /// identifiers in input order.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedDbfs::insert_wrapped`]; partial application on
-    /// error follows [`ShardedDbfs::collect_many`].
-    pub fn insert_many(&self, items: Vec<(DataTypeId, WrappedPd)>) -> Result<Vec<PdId>, DbfsError> {
+    // Batched `insert_wrapped`: lineage-free records are
+    // batch-routed to their home shards (group commit per shard, groups
+    // run concurrently on the worker pool — see
+    // `collect_many`); records carrying lineage go through
+    // the directory-registering single-record path.  Returns the
+    // identifiers in input order.
+    fn insert_many(&self, items: Vec<(DataTypeId, WrappedPd)>) -> Result<Vec<PdId>, DbfsError> {
         if items.is_empty() {
             return Ok(Vec::new());
         }
@@ -870,16 +834,11 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
             .collect())
     }
 
-    /// Batched [`ShardedDbfs::update_row`]: updates are grouped by owning
-    /// shard (computable from the strided id space) and each shard applies
-    /// its group under journal group commit, with the groups running
-    /// concurrently on the worker pool (see [`ShardedDbfs::collect_many`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedDbfs::update_row`]; partial application on error
-    /// follows [`ShardedDbfs::collect_many`].
-    pub fn update_rows(
+    // Batched `update_row`: updates are grouped by owning
+    // shard (computable from the strided id space) and each shard applies
+    // its group under journal group commit, with the groups running
+    // concurrently on the worker pool (see `collect_many`).
+    fn update_rows(
         &self,
         data_type: &DataTypeId,
         updates: Vec<(PdId, Row)>,
@@ -914,45 +873,15 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         Ok(())
     }
 
-    /// Drops every shard's inode-layer buffer cache (cold-path
-    /// measurements; correctness never requires it).
-    pub fn drop_caches(&self) {
-        for shard in &self.shards {
-            shard.drop_caches();
-        }
-    }
-
-    /// Reads one record, routed by id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`].
-    pub fn get(&self, data_type: &DataTypeId, id: PdId) -> Result<PdRecord, DbfsError> {
+    fn get(&self, data_type: &DataTypeId, id: PdId) -> Result<PdRecord, DbfsError> {
         self.shards[self.shard_of_id(id)].get(data_type, id)
     }
 
-    /// Membrane-only load of a single record, routed by id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`].
-    pub fn load_membrane(&self, data_type: &DataTypeId, id: PdId) -> Result<Membrane, DbfsError> {
+    fn load_membrane(&self, data_type: &DataTypeId, id: PdId) -> Result<Membrane, DbfsError> {
         self.shards[self.shard_of_id(id)].load_membrane(data_type, id)
     }
 
-    /// Membrane-only load of a whole table: a scatter-gather over every
-    /// shard, merged in shard order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::PartialScatter`] when any shard fails
-    /// (wrapping, for example, [`DbfsError::UnknownType`]): merging only
-    /// the shards that answered would pass off a partial membrane set as
-    /// the whole table.
-    pub fn load_membranes(
-        &self,
-        data_type: &DataTypeId,
-    ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
+    fn load_membranes(&self, data_type: &DataTypeId) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
         let name = data_type.clone();
         let per_shard = gather_scatter(
             0..self.shards.len(),
@@ -961,15 +890,11 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         Ok(per_shard.into_iter().flatten().collect())
     }
 
-    /// Membrane-only load of one subject's records of a type: the home shard
-    /// answers from its subject index, plus the directory's foreign
-    /// placements of that subject — `O(home shard + lineage)`, never a
-    /// fan-out.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownType`].
-    pub fn load_membranes_for_subject(
+    // Membrane-only load of one subject's records of a type: the home shard
+    // answers from its subject index, plus the directory's foreign
+    // placements of that subject — `O(home shard + lineage)`, never a
+    // fan-out.
+    fn load_membranes_for_subject(
         &self,
         data_type: &DataTypeId,
         subject: SubjectId,
@@ -994,18 +919,9 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         Ok(out)
     }
 
-    /// Full-record load of the given identifiers, grouped per shard, fetched
-    /// through the worker pool and returned in the order of `ids`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`] for unknown identifiers, or
-    /// [`DbfsError::PartialScatter`] when a shard fails outright.
-    pub fn load_records(
-        &self,
-        data_type: &DataTypeId,
-        ids: &[PdId],
-    ) -> Result<RecordBatch, DbfsError> {
+    // Full-record load of the given identifiers, grouped per shard, fetched
+    // through the worker pool and returned in the order of `ids`.
+    fn load_records(&self, data_type: &DataTypeId, ids: &[PdId]) -> Result<RecordBatch, DbfsError> {
         let mut groups: Vec<Vec<PdId>> = vec![Vec::new(); self.shards.len()];
         for &id in ids {
             groups[self.shard_of_id(id)].push(id);
@@ -1035,21 +951,11 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         Ok(batch)
     }
 
-    /// The `update` built-in, routed by id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::Erased`] or [`DbfsError::Core`].
-    pub fn update_row(&self, data_type: &DataTypeId, id: PdId, row: Row) -> Result<(), DbfsError> {
+    fn update_row(&self, data_type: &DataTypeId, id: PdId, row: Row) -> Result<(), DbfsError> {
         self.shards[self.shard_of_id(id)].update_row(data_type, id, row)
     }
 
-    /// Applies a membrane delta, routed by id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`].
-    pub fn apply_membrane_delta(
+    fn apply_membrane_delta(
         &self,
         data_type: &DataTypeId,
         id: PdId,
@@ -1058,16 +964,11 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         self.shards[self.shard_of_id(id)].apply_membrane_delta(data_type, id, delta)
     }
 
-    /// The `copy` built-in.  The source is read on its own shard; the copy
-    /// is placed **round-robin** across the deployment (derived-data load
-    /// balancing), so a copy routinely lands on a different shard than its
-    /// source — the case the lineage directory exists for.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::Erased`] for erased records (including a source
-    /// whose erasure wins the race against this copy).
-    pub fn copy(&self, data_type: &DataTypeId, id: PdId) -> Result<PdId, DbfsError> {
+    // The `copy` built-in.  The source is read on its own shard; the copy
+    // is placed **round-robin** across the deployment (derived-data load
+    // balancing), so a copy routinely lands on a different shard than its
+    // source — the case the lineage directory exists for.
+    fn copy(&self, data_type: &DataTypeId, id: PdId) -> Result<PdId, DbfsError> {
         let record = self.get(data_type, id)?;
         if record.membrane().is_erased() {
             return Err(DbfsError::Erased { id: id.raw() });
@@ -1077,30 +978,26 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         self.store_routed(data_type, wrapped, target)
     }
 
-    /// The `delete` built-in across the deployment: tombstones the record
-    /// *and* the **transitive copy closure on every shard**.  The erasure is
-    /// two-phase and crash-durable:
-    ///
-    /// 1. the closure is snapshotted and pre-announced as tombstoned under
-    ///    the directory lock (pure metadata, no disk I/O), so a copy racing
-    ///    the erasure is refused from here on;
-    /// 2. the full target list is persisted as an [`EraseIntent`] on the
-    ///    root's shard **before any tombstone is written**, then each
-    ///    involved shard performs its crypto-erasures (each shard's cascade
-    ///    is one compound transaction) and the intent is cleared.
-    ///
-    /// A crash before the intent write leaves the deployment untouched (a
-    /// clean abort); a crash after it is **completed** at the next
-    /// [`ShardedDbfs::mount`], so no copy ever outlives its erased original
-    /// across a power loss.
-    ///
-    /// Returns every identifier this call tombstoned, transitive cross-shard
-    /// copies included.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`] for unknown records.
-    pub fn erase(
+    // The `delete` built-in across the deployment: tombstones the record
+    // *and* the **transitive copy closure on every shard**.  The erasure is
+    // two-phase and crash-durable:
+    //
+    // 1. the closure is snapshotted and pre-announced as tombstoned under
+    //    the directory lock (pure metadata, no disk I/O), so a copy racing
+    //    the erasure is refused from here on;
+    // 2. the full target list is persisted as an `EraseIntent` on the
+    //    root's shard **before any tombstone is written**, then each
+    //    involved shard performs its crypto-erasures (each shard's cascade
+    //    is one compound transaction) and the intent is cleared.
+    //
+    // A crash before the intent write leaves the deployment untouched (a
+    // clean abort); a crash after it is **completed** at the next
+    // `ShardedDbfs::mount`, so no copy ever outlives its erased original
+    // across a power loss.
+    //
+    // Returns every identifier this call tombstoned, transitive cross-shard
+    // copies included.
+    fn erase(
         &self,
         data_type: &DataTypeId,
         id: PdId,
@@ -1158,19 +1055,15 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         Ok(erased.into_iter().collect())
     }
 
-    /// Subject-wide right to be forgotten: the subject's home-shard records
-    /// and foreign placements are snapshotted together with their transitive
-    /// copy closure under the directory lock, the target list is persisted
-    /// as an [`EraseIntent`] on the subject's home shard, then every
-    /// involved shard erases its members and the intent is cleared.  A crash
-    /// mid-erasure is completed at the next mount — the request never stays
-    /// half-applied.  Returns every identifier tombstoned, cross-shard
-    /// copies included.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn erase_subject(
+    // Subject-wide right to be forgotten: the subject's home-shard records
+    // and foreign placements are snapshotted together with their transitive
+    // copy closure under the directory lock, the target list is persisted
+    // as an `EraseIntent` on the subject's home shard, then every
+    // involved shard erases its members and the intent is cleared.  A crash
+    // mid-erasure is completed at the next mount — the request never stays
+    // half-applied.  Returns every identifier tombstoned, cross-shard
+    // copies included.
+    fn erase_subject(
         &self,
         subject: SubjectId,
         escrow: &OperatorEscrow,
@@ -1232,21 +1125,17 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         Ok(erased.into_iter().collect())
     }
 
-    /// Storage-limitation sweep: every shard purges its own expiry index,
-    /// then the directory propagates the erasure to cross-shard copies whose
-    /// retention diverged from their expired original (a copy must never
-    /// outlive its lineage).  Returns every identifier the sweep tombstoned.
-    ///
-    /// The sweep's exact target set is only known mid-sweep, so the durable
-    /// intent written up front carries no targets — just the authority key.
-    /// If a crash interrupts the sweep between a shard purge and the
-    /// cross-shard propagation, the next mount finds the intent and runs the
-    /// **lineage heal**: any live record with an erased ancestor is erased.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn purge_expired(&self, escrow: &OperatorEscrow) -> Result<Vec<PdId>, DbfsError> {
+    // Storage-limitation sweep: every shard purges its own expiry index,
+    // then the directory propagates the erasure to cross-shard copies whose
+    // retention diverged from their expired original (a copy must never
+    // outlive its lineage).  Returns every identifier the sweep tombstoned.
+    //
+    // The sweep's exact target set is only known mid-sweep, so the durable
+    // intent written up front carries no targets — just the authority key.
+    // If a crash interrupts the sweep between a shard purge and the
+    // cross-shard propagation, the next mount finds the intent and runs the
+    // **lineage heal**: any live record with an erased ancestor is erased.
+    fn purge_expired(&self, escrow: &OperatorEscrow) -> Result<Vec<PdId>, DbfsError> {
         let _serialized = self.erasures.lock();
         let now = self.clock.now();
         if !self
@@ -1288,14 +1177,10 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         Ok(expired)
     }
 
-    /// Every live record of a subject across the deployment: the home
-    /// shard's subject index plus the directory's foreign placements —
-    /// `O(home shard + lineage)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn records_of_subject(&self, subject: SubjectId) -> Result<Vec<PdRecord>, DbfsError> {
+    // Every live record of a subject across the deployment: the home
+    // shard's subject index plus the directory's foreign placements —
+    // `O(home shard + lineage)`.
+    fn records_of_subject(&self, subject: SubjectId) -> Result<Vec<PdRecord>, DbfsError> {
         let mut out = self.shards[self.home_shard(subject)].records_of_subject(subject)?;
         let foreign: Vec<(PdId, DataTypeId)> = {
             let directory = self.directory.lock();
@@ -1319,19 +1204,13 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         Ok(out)
     }
 
-    /// Executes a query.  A query whose predicate pins an id list is routed
-    /// to the shards owning those ids (computable from the strided id
-    /// space); one that pins one or more subjects is routed to the home
-    /// shards of those subjects (plus the shards holding their foreign
-    /// records); anything else scatter-gathers across every shard and
-    /// merges in shard order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::PartialScatter`] when any involved shard fails
-    /// (wrapping [`DbfsError::UnknownType`] or [`DbfsError::Core`]): a
-    /// merge of the surviving legs would be a silently incomplete answer.
-    pub fn query(&self, request: &QueryRequest) -> Result<RecordBatch, DbfsError> {
+    // Executes a query.  A query whose predicate pins an id list is routed
+    // to the shards owning those ids (computable from the strided id
+    // space); one that pins one or more subjects is routed to the home
+    // shards of those subjects (plus the shards holding their foreign
+    // records); anything else scatter-gathers across every shard and
+    // merges in shard order.
+    fn query(&self, request: &QueryRequest) -> Result<RecordBatch, DbfsError> {
         let pinned = request.predicate.pinned_subjects();
         let involved: Vec<usize> = if let Some(ids) = request.predicate.pinned_ids() {
             let mut involved: Vec<usize> = ids.iter().map(|&id| self.shard_of_id(id)).collect();
@@ -1382,19 +1261,15 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         Ok(batch)
     }
 
-    /// Verifies every shard's own index invariants (in parallel), then the
-    /// router-level invariants: globally unique strided ids, every lineage
-    /// edge present in the directory (and vice versa), every off-home
-    /// placement registered, tombstone agreement between the directory and
-    /// the shards, and the GDPR core property — **no live record anywhere in
-    /// the deployment has an erased lineage ancestor**.
-    ///
-    /// Expects a quiescent deployment, like the per-shard checker.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::Corrupt`] describing the first violation.
-    pub fn verify_index_invariants(&self) -> Result<(), DbfsError> {
+    // Verifies every shard's own index invariants (in parallel), then the
+    // router-level invariants: globally unique strided ids, every lineage
+    // edge present in the directory (and vice versa), every off-home
+    // placement registered, tombstone agreement between the directory and
+    // the shards, and the GDPR core property — **no live record anywhere in
+    // the deployment has an erased lineage ancestor**.
+    //
+    // Expects a quiescent deployment, like the per-shard checker.
+    fn verify_index_invariants(&self) -> Result<(), DbfsError> {
         for result in self.pool.scatter(|_, dbfs| dbfs.verify_index_invariants()) {
             result?;
         }
@@ -1477,13 +1352,9 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         Ok(())
     }
 
-    /// Space accounting aggregated across every shard (records, bytes and
-    /// allocated blocks summed; see [`SpaceStats::amplification`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn space_stats(&self) -> Result<SpaceStats, DbfsError> {
+    // Space accounting aggregated across every shard (records, bytes and
+    // allocated blocks summed; see `SpaceStats::amplification`).
+    fn space_stats(&self) -> Result<SpaceStats, DbfsError> {
         let mut stats = SpaceStats::default();
         for result in self.pool.scatter(|_, dbfs| dbfs.space_stats()) {
             stats.merge(&result?);
@@ -1491,38 +1362,25 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         Ok(stats)
     }
 
-    /// Total tombstones reclaimed by scrub passes since mount, summed over
-    /// the shards.
-    pub fn tombstones_reclaimed(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|shard| shard.tombstones_reclaimed())
-            .sum()
-    }
-
-    /// Router-level scrub pass: reclaims every shard's durable tombstones,
-    /// honouring the cross-shard protocol state.  A tombstone survives the
-    /// pass while **any** shard holds a pending [`EraseIntent`] naming it
-    /// (the routed erasure may still be completing elsewhere) or while the
-    /// lineage directory records surviving copies of it (per-shard
-    /// reverse-lineage indexes rebuilt from disk must never dangle).
-    ///
-    /// Runs under the cross-shard erasure lock, in rounds: reclaiming a
-    /// leaf copy on one shard unblocks its original on another, so the pass
-    /// iterates until no shard makes progress — erased copy chains vanish
-    /// whole, children first, exactly like the per-shard fixpoint.  After
-    /// each round the reclaimed ids are forgotten by the directory; a crash
-    /// between a shard reclaim and the in-memory forget is benign, because
-    /// the directory is rebuilt from the shards' indexes at mount and the
-    /// reclaimed ids are simply absent.
-    ///
-    /// The returned report accumulates reclaims across rounds; the
-    /// `retained_*` counters describe what the *final* round left behind.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn scrub_tombstones(&self) -> Result<ScrubReport, DbfsError> {
+    // Router-level scrub pass: reclaims every shard's durable tombstones,
+    // honouring the cross-shard protocol state.  A tombstone survives the
+    // pass while **any** shard holds a pending `EraseIntent` naming it
+    // (the routed erasure may still be completing elsewhere) or while the
+    // lineage directory records surviving copies of it (per-shard
+    // reverse-lineage indexes rebuilt from disk must never dangle).
+    //
+    // Runs under the cross-shard erasure lock, in rounds: reclaiming a
+    // leaf copy on one shard unblocks its original on another, so the pass
+    // iterates until no shard makes progress — erased copy chains vanish
+    // whole, children first, exactly like the per-shard fixpoint.  After
+    // each round the reclaimed ids are forgotten by the directory; a crash
+    // between a shard reclaim and the in-memory forget is benign, because
+    // the directory is rebuilt from the shards' indexes at mount and the
+    // reclaimed ids are simply absent.
+    //
+    // The returned report accumulates reclaims across rounds; the
+    // `retained_*` counters describe what the *final* round left behind.
+    fn scrub_tombstones(&self) -> Result<ScrubReport, DbfsError> {
         let _serialized = self.erasures.lock();
         let mut report = ScrubReport::default();
         let mut first_scan: Option<usize> = None;
@@ -1569,158 +1427,5 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         }
         report.scanned_tombstones = first_scan.unwrap_or(0);
         Ok(report)
-    }
-}
-
-impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
-    fn clock(&self) -> Arc<LogicalClock> {
-        ShardedDbfs::clock(self)
-    }
-
-    fn audit(&self) -> AuditLog {
-        ShardedDbfs::audit(self)
-    }
-
-    fn stats(&self) -> DbfsStats {
-        ShardedDbfs::stats(self)
-    }
-
-    fn create_type(&self, schema: DataTypeSchema) -> Result<(), DbfsError> {
-        ShardedDbfs::create_type(self, schema)
-    }
-
-    fn schema(&self, name: &DataTypeId) -> Result<DataTypeSchema, DbfsError> {
-        ShardedDbfs::schema(self, name)
-    }
-
-    fn types(&self) -> Vec<DataTypeId> {
-        ShardedDbfs::types(self)
-    }
-
-    fn count(&self, name: &DataTypeId) -> Result<usize, DbfsError> {
-        ShardedDbfs::count(self, name)
-    }
-
-    fn collect(
-        &self,
-        data_type: &DataTypeId,
-        subject: SubjectId,
-        row: Row,
-    ) -> Result<PdId, DbfsError> {
-        ShardedDbfs::collect(self, data_type.clone(), subject, row)
-    }
-
-    fn insert_wrapped(
-        &self,
-        data_type: &DataTypeId,
-        wrapped: WrappedPd,
-    ) -> Result<PdId, DbfsError> {
-        ShardedDbfs::insert_wrapped(self, data_type, wrapped)
-    }
-
-    fn collect_many(
-        &self,
-        data_type: &DataTypeId,
-        rows: Vec<(SubjectId, Row)>,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        ShardedDbfs::collect_many(self, data_type.clone(), rows)
-    }
-
-    fn insert_many(&self, items: Vec<(DataTypeId, WrappedPd)>) -> Result<Vec<PdId>, DbfsError> {
-        ShardedDbfs::insert_many(self, items)
-    }
-
-    fn update_rows(
-        &self,
-        data_type: &DataTypeId,
-        updates: Vec<(PdId, Row)>,
-    ) -> Result<(), DbfsError> {
-        ShardedDbfs::update_rows(self, data_type, updates)
-    }
-
-    fn get(&self, data_type: &DataTypeId, id: PdId) -> Result<PdRecord, DbfsError> {
-        ShardedDbfs::get(self, data_type, id)
-    }
-
-    fn load_membranes(&self, data_type: &DataTypeId) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
-        ShardedDbfs::load_membranes(self, data_type)
-    }
-
-    fn load_membranes_for_subject(
-        &self,
-        data_type: &DataTypeId,
-        subject: SubjectId,
-    ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
-        ShardedDbfs::load_membranes_for_subject(self, data_type, subject)
-    }
-
-    fn load_membrane(&self, data_type: &DataTypeId, id: PdId) -> Result<Membrane, DbfsError> {
-        ShardedDbfs::load_membrane(self, data_type, id)
-    }
-
-    fn load_records(&self, data_type: &DataTypeId, ids: &[PdId]) -> Result<RecordBatch, DbfsError> {
-        ShardedDbfs::load_records(self, data_type, ids)
-    }
-
-    fn update_row(&self, data_type: &DataTypeId, id: PdId, row: Row) -> Result<(), DbfsError> {
-        ShardedDbfs::update_row(self, data_type, id, row)
-    }
-
-    fn apply_membrane_delta(
-        &self,
-        data_type: &DataTypeId,
-        id: PdId,
-        delta: &MembraneDelta,
-    ) -> Result<bool, DbfsError> {
-        ShardedDbfs::apply_membrane_delta(self, data_type, id, delta)
-    }
-
-    fn copy(&self, data_type: &DataTypeId, id: PdId) -> Result<PdId, DbfsError> {
-        ShardedDbfs::copy(self, data_type, id)
-    }
-
-    fn erase(
-        &self,
-        data_type: &DataTypeId,
-        id: PdId,
-        escrow: &OperatorEscrow,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        ShardedDbfs::erase(self, data_type, id, escrow)
-    }
-
-    fn erase_subject(
-        &self,
-        subject: SubjectId,
-        escrow: &OperatorEscrow,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        ShardedDbfs::erase_subject(self, subject, escrow)
-    }
-
-    fn purge_expired(&self, escrow: &OperatorEscrow) -> Result<Vec<PdId>, DbfsError> {
-        ShardedDbfs::purge_expired(self, escrow)
-    }
-
-    fn records_of_subject(&self, subject: SubjectId) -> Result<Vec<PdRecord>, DbfsError> {
-        ShardedDbfs::records_of_subject(self, subject)
-    }
-
-    fn query(&self, request: &QueryRequest) -> Result<RecordBatch, DbfsError> {
-        ShardedDbfs::query(self, request)
-    }
-
-    fn verify_index_invariants(&self) -> Result<(), DbfsError> {
-        ShardedDbfs::verify_index_invariants(self)
-    }
-
-    fn scrub_tombstones(&self) -> Result<ScrubReport, DbfsError> {
-        ShardedDbfs::scrub_tombstones(self)
-    }
-
-    fn space_stats(&self) -> Result<SpaceStats, DbfsError> {
-        ShardedDbfs::space_stats(self)
-    }
-
-    fn attach_trace(&self, ctx: &rgpdos_trace::TraceCtx) {
-        ShardedDbfs::attach_trace(self, ctx);
     }
 }

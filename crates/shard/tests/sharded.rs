@@ -5,7 +5,7 @@ use rgpdos_blockdev::MemDevice;
 use rgpdos_core::schema::listing1_user_schema;
 use rgpdos_core::{DataTypeId, Duration, MembraneDelta, PdId, Row, SubjectId, TimeToLive};
 use rgpdos_crypto::escrow::{Authority, OperatorEscrow};
-use rgpdos_dbfs::{DbfsParams, PdStore, Predicate, QueryRequest};
+use rgpdos_dbfs::{Dbfs, DbfsError, DbfsParams, PdStore, Predicate, QueryRequest};
 use rgpdos_shard::ShardedDbfs;
 use std::sync::Arc;
 
@@ -41,7 +41,9 @@ fn placement_is_deterministic_and_ids_are_strided() {
     let sharded = sharded(4);
     for raw in 0..32u64 {
         let subject = SubjectId::new(raw);
-        let id = sharded.collect("user", subject, user_row("p")).unwrap();
+        let id = sharded
+            .collect(&"user".into(), subject, user_row("p"))
+            .unwrap();
         // The id's strided shard is the subject's home shard.
         assert_eq!(sharded.shard_of_id(id), sharded.home_shard(subject));
         assert_eq!(id.raw() % 4, sharded.home_shard(subject) as u64);
@@ -62,7 +64,11 @@ fn scatter_gather_merges_scans_and_subject_queries_stay_routed() {
     let sharded = sharded(3);
     for raw in 0..30u64 {
         sharded
-            .collect("user", SubjectId::new(raw), user_row(&format!("s{raw}")))
+            .collect(
+                &"user".into(),
+                SubjectId::new(raw),
+                user_row(&format!("s{raw}")),
+            )
             .unwrap();
     }
     // Full scan reaches every shard's records.
@@ -90,7 +96,7 @@ fn batched_ingest_routes_groups_to_home_shards_with_group_commit() {
     let rows: Vec<(SubjectId, Row)> = (0..48u64)
         .map(|raw| (SubjectId::new(raw), user_row(&format!("b{raw}"))))
         .collect();
-    let ids = sharded.collect_many("user", rows.clone()).unwrap();
+    let ids = sharded.collect_many(&"user".into(), rows.clone()).unwrap();
     assert_eq!(ids.len(), 48);
     // Input order is preserved and every id landed on its home shard.
     for (&id, (subject, _)) in ids.iter().zip(&rows) {
@@ -164,7 +170,7 @@ fn id_pinned_queries_route_to_the_owning_shards_only() {
     let ids: Vec<PdId> = (0..16u64)
         .map(|raw| {
             sharded
-                .collect("user", SubjectId::new(raw), user_row("id-pin"))
+                .collect(&"user".into(), SubjectId::new(raw), user_row("id-pin"))
                 .unwrap()
         })
         .collect();
@@ -201,7 +207,7 @@ fn load_records_preserves_request_order_across_shards() {
     let mut ids: Vec<PdId> = (0..9u64)
         .map(|raw| {
             sharded
-                .collect("user", SubjectId::new(raw), user_row("o"))
+                .collect(&"user".into(), SubjectId::new(raw), user_row("o"))
                 .unwrap()
         })
         .collect();
@@ -219,7 +225,7 @@ fn cross_shard_copies_are_tracked_and_erasure_reaches_the_whole_closure() {
     let escrow = escrow();
     let subject = SubjectId::new(5);
     let original = sharded
-        .collect("user", subject, user_row("lineage"))
+        .collect(&"user".into(), subject, user_row("lineage"))
         .unwrap();
     // Round-robin placement: four copies cover every shard, and a copy of a
     // copy extends the chain cross-shard.
@@ -257,12 +263,14 @@ fn erase_subject_reaches_foreign_copies_on_every_shard() {
     let subject = SubjectId::new(11);
     let other = SubjectId::new(12);
     let a = sharded
-        .collect("user", subject, user_row("mine-a"))
+        .collect(&"user".into(), subject, user_row("mine-a"))
         .unwrap();
     let b = sharded
-        .collect("user", subject, user_row("mine-b"))
+        .collect(&"user".into(), subject, user_row("mine-b"))
         .unwrap();
-    let other_id = sharded.collect("user", other, user_row("theirs")).unwrap();
+    let other_id = sharded
+        .collect(&"user".into(), other, user_row("theirs"))
+        .unwrap();
     let copy_a = sharded.copy(&user(), a).unwrap();
     let copy_b = sharded.copy(&user(), b).unwrap();
 
@@ -287,7 +295,9 @@ fn retention_purge_propagates_to_ttl_diverged_cross_shard_copies() {
     let sharded = sharded(3);
     let escrow = escrow();
     let subject = SubjectId::new(2);
-    let original = sharded.collect("user", subject, user_row("ttl")).unwrap();
+    let original = sharded
+        .collect(&"user".into(), subject, user_row("ttl"))
+        .unwrap();
     // Find a copy on a different shard than the original, then extend its
     // TTL so it will not expire on its own.
     let copy = loop {
@@ -328,17 +338,21 @@ fn mount_rebuilds_the_directory_and_invariants_hold() {
         sharded.create_type(listing1_user_schema()).unwrap();
         for raw in 0..12u64 {
             sharded
-                .collect("user", SubjectId::new(raw), user_row(&format!("m{raw}")))
+                .collect(
+                    &"user".into(),
+                    SubjectId::new(raw),
+                    user_row(&format!("m{raw}")),
+                )
                 .unwrap();
         }
         let victim = sharded
-            .collect("user", SubjectId::new(50), user_row("victim"))
+            .collect(&"user".into(), SubjectId::new(50), user_row("victim"))
             .unwrap();
         let _spread: Vec<PdId> = (0..3)
             .map(|_| sharded.copy(&user(), victim).unwrap())
             .collect();
         let keeper = sharded
-            .collect("user", SubjectId::new(51), user_row("keeper"))
+            .collect(&"user".into(), SubjectId::new(51), user_row("keeper"))
             .unwrap();
         sharded.copy(&user(), keeper).unwrap();
         sharded.erase(&user(), victim, &escrow).unwrap();
@@ -379,7 +393,7 @@ fn single_shard_deployment_degenerates_to_plain_dbfs_semantics() {
     let sharded = sharded(1);
     let escrow = escrow();
     let id = sharded
-        .collect("user", SubjectId::new(1), user_row("solo"))
+        .collect(&"user".into(), SubjectId::new(1), user_row("solo"))
         .unwrap();
     let copy = sharded.copy(&user(), id).unwrap();
     assert_eq!(sharded.count(&user()).unwrap(), 2);
@@ -389,28 +403,47 @@ fn single_shard_deployment_degenerates_to_plain_dbfs_semantics() {
     sharded.verify_index_invariants().unwrap();
 }
 
+/// The `PdStore` contract the engines rely on, driven only through the
+/// trait.  `unknown_count` pins how the store reports `count` of a type it
+/// does not hold.
+fn pd_store_conformance<S: PdStore>(store: &S, unknown_count: fn(&DbfsError) -> bool) {
+    let user = user();
+    let subject = SubjectId::new(3);
+    store.create_type(listing1_user_schema()).unwrap();
+    assert_eq!(store.types(), vec![user.clone()]);
+    let id = store.collect(&user, subject, user_row("trait")).unwrap();
+    assert_eq!(store.count(&user).unwrap(), 1);
+    let ghost = store.count(&DataTypeId::from("ghost")).unwrap_err();
+    assert!(unknown_count(&ghost), "count of an unknown type: {ghost:?}");
+    let copy = store.copy(&user, id).unwrap();
+    assert_ne!(copy, id);
+    assert_eq!(store.records_of_subject(subject).unwrap().len(), 2);
+    assert_eq!(store.load_membranes(&user).unwrap().len(), 2);
+    let mut mine: Vec<PdId> = store
+        .load_membranes_for_subject(&user, subject)
+        .unwrap()
+        .into_iter()
+        .map(|(id, _)| id)
+        .collect();
+    mine.sort();
+    let mut expected = vec![id, copy];
+    expected.sort();
+    assert_eq!(mine, expected);
+    let batch = store
+        .query(&QueryRequest::all("user").filter(Predicate::SubjectIs(subject)))
+        .unwrap();
+    assert_eq!(batch.len(), 2);
+    store.verify_index_invariants().unwrap();
+}
+
 #[test]
-fn pd_store_trait_object_surface_works_for_the_sharded_store() {
-    // The engines are generic over PdStore; drive the sharded store through
-    // the trait to pin the contract.
-    fn through_trait<S: PdStore>(store: &S) {
-        let user = DataTypeId::from("user");
-        let id = store
-            .collect(&user, SubjectId::new(3), user_row("trait"))
-            .unwrap();
-        let membranes = store
-            .load_membranes_for_subject(&user, SubjectId::new(3))
-            .unwrap();
-        assert_eq!(membranes.len(), 1);
-        assert_eq!(membranes[0].0, id);
-        assert_eq!(store.count(&user).unwrap(), 1);
-        let batch = store
-            .query(&QueryRequest::all("user").filter(Predicate::SubjectIs(SubjectId::new(3))))
-            .unwrap();
-        assert_eq!(batch.len(), 1);
-        store.verify_index_invariants().unwrap();
+fn dbfs_and_sharded_stores_conform_to_pd_store() {
+    let dbfs = Dbfs::format(Arc::new(MemDevice::new(8192, 512)), DbfsParams::small()).unwrap();
+    pd_store_conformance(&dbfs, |e| matches!(e, DbfsError::UnknownType { .. }));
+    for shards in [1, 4] {
+        let store = ShardedDbfs::format(devices(shards), DbfsParams::small()).unwrap();
+        pd_store_conformance(&store, |e| matches!(e, DbfsError::PartialScatter { .. }));
     }
-    through_trait(&sharded(4));
 }
 
 #[test]
@@ -422,7 +455,11 @@ fn first_attached_trace_wins() {
     sharded.attach_trace(&b);
     for raw in 0..4u64 {
         sharded
-            .collect("user", SubjectId::new(raw), user_row(&format!("o{raw}")))
+            .collect(
+                &"user".into(),
+                SubjectId::new(raw),
+                user_row(&format!("o{raw}")),
+            )
             .unwrap();
     }
     sharded.query(&QueryRequest::all("user")).unwrap();
@@ -447,7 +484,11 @@ fn attached_trace_labels_shards_and_records_scatter_fanout() {
     sharded.attach_trace(&ctx);
     for raw in 0..12u64 {
         sharded
-            .collect("user", SubjectId::new(raw), user_row(&format!("t{raw}")))
+            .collect(
+                &"user".into(),
+                SubjectId::new(raw),
+                user_row(&format!("t{raw}")),
+            )
             .unwrap();
     }
     // A full scan fans out to all 3 shards; a subject-pinned query to 1.
@@ -500,7 +541,6 @@ fn attached_trace_labels_shards_and_records_scatter_fanout() {
 #[test]
 fn scatter_read_failure_surfaces_as_partial_scatter() {
     use rgpdos_blockdev::{FaultPlan, FaultyDevice};
-    use rgpdos_dbfs::DbfsError;
 
     type FaultyShard = Arc<FaultyDevice<MemDevice>>;
 
@@ -513,7 +553,11 @@ fn scatter_read_failure_surfaces_as_partial_scatter() {
         sharded.create_type(listing1_user_schema()).unwrap();
         for raw in 0..16u64 {
             sharded
-                .collect("user", SubjectId::new(raw), user_row(&format!("f{raw}")))
+                .collect(
+                    &"user".into(),
+                    SubjectId::new(raw),
+                    user_row(&format!("f{raw}")),
+                )
                 .unwrap();
         }
         sharded.drop_caches();
@@ -555,8 +599,6 @@ fn scatter_read_failure_surfaces_as_partial_scatter() {
 /// surfaces [`DbfsError::PartialScatter`] naming the failing shard.
 #[test]
 fn count_surfaces_shard_divergence_instead_of_undercounting() {
-    use rgpdos_dbfs::DbfsError;
-
     let sharded = sharded(2);
     // Install a type on shard 0 only, bypassing the broadcast (simulating
     // a half-applied rollout).
@@ -586,14 +628,14 @@ fn scrub_reclaims_cross_shard_erased_chains_whole() {
     let sharded = sharded(4);
     let escrow = escrow();
     let original = sharded
-        .collect("user", SubjectId::new(5), user_row("chain"))
+        .collect(&"user".into(), SubjectId::new(5), user_row("chain"))
         .unwrap();
     let copies: Vec<PdId> = (0..4)
         .map(|_| sharded.copy(&user(), original).unwrap())
         .collect();
     let grandchild = sharded.copy(&user(), copies[0]).unwrap();
     let keeper = sharded
-        .collect("user", SubjectId::new(6), user_row("keeper"))
+        .collect(&"user".into(), SubjectId::new(6), user_row("keeper"))
         .unwrap();
     sharded.erase(&user(), original, &escrow).unwrap();
 
@@ -628,7 +670,7 @@ fn scrub_retains_tombstones_named_by_in_flight_routed_intents() {
     let sharded = sharded(3);
     let escrow = escrow();
     let id = sharded
-        .collect("user", SubjectId::new(9), user_row("held"))
+        .collect(&"user".into(), SubjectId::new(9), user_row("held"))
         .unwrap();
     sharded.erase(&user(), id, &escrow).unwrap();
     // A routed erasure parked on a *different* shard still names the
@@ -660,13 +702,13 @@ fn scrubbed_deployment_survives_remount_with_a_clean_directory() {
         let sharded = ShardedDbfs::format(devices.clone(), DbfsParams::small()).unwrap();
         sharded.create_type(listing1_user_schema()).unwrap();
         let victim = sharded
-            .collect("user", SubjectId::new(50), user_row("victim"))
+            .collect(&"user".into(), SubjectId::new(50), user_row("victim"))
             .unwrap();
         for _ in 0..3 {
             sharded.copy(&user(), victim).unwrap();
         }
         let keeper = sharded
-            .collect("user", SubjectId::new(51), user_row("keeper"))
+            .collect(&"user".into(), SubjectId::new(51), user_row("keeper"))
             .unwrap();
         sharded.copy(&user(), keeper).unwrap();
         sharded.erase(&user(), victim, &escrow).unwrap();

@@ -9,7 +9,7 @@ use rgpdos::core::schema::listing1_user_schema;
 use rgpdos::core::{DataTypeId, Membrane, PdId, Row, SubjectId, Timestamp};
 use rgpdos::crypto::escrow::{Authority, OperatorEscrow};
 use rgpdos::crypto::EscrowedCiphertext;
-use rgpdos::dbfs::{Dbfs, DbfsParams, EraseIntent, QueryRequest};
+use rgpdos::dbfs::{Dbfs, DbfsParams, EraseIntent, PdStore, QueryRequest};
 use rgpdos::inode::InodeKind;
 use rgpdos::shard::ShardedDbfs;
 use std::collections::BTreeMap;
@@ -46,8 +46,8 @@ fn dbfs_mutations_are_crash_atomic_at_every_write_index() {
     let workload = |dbfs: &Dbfs<FaultyDevice<Arc<MemDevice>>>,
                     escrow: &OperatorEscrow|
      -> Result<(), rgpdos::dbfs::DbfsError> {
-        let a = dbfs.collect("user", SubjectId::new(1), user_row("alpha"))?;
-        let _b = dbfs.collect("user", SubjectId::new(2), user_row("bravo"))?;
+        let a = dbfs.collect(&"user".into(), SubjectId::new(1), user_row("alpha"))?;
+        let _b = dbfs.collect(&"user".into(), SubjectId::new(2), user_row("bravo"))?;
         let copy = dbfs.copy(&"user".into(), a)?;
         let _chain = dbfs.copy(&"user".into(), copy)?;
         dbfs.erase(&"user".into(), a, escrow)?;
@@ -108,7 +108,7 @@ fn dbfs_mutations_are_crash_atomic_at_every_write_index() {
         }
         // The store stays usable after recovery.
         remounted
-            .collect("user", SubjectId::new(7), user_row("post-crash"))
+            .collect(&"user".into(), SubjectId::new(7), user_row("post-crash"))
             .unwrap_or_else(|e| panic!("crash point {crash_after}: post-crash insert: {e}"));
         remounted.verify_index_invariants().unwrap();
     }
@@ -126,7 +126,7 @@ fn mount_heals_a_single_tree_insert_and_counts_the_repair() {
     {
         let dbfs = Dbfs::format(Arc::clone(&device), DbfsParams::small()).unwrap();
         dbfs.create_type(listing1_user_schema()).unwrap();
-        dbfs.collect("user", SubjectId::new(4), user_row("intact"))
+        dbfs.collect(&"user".into(), SubjectId::new(4), user_row("intact"))
             .unwrap();
         // Forge the torn state the old multi-op insert left behind: a
         // record linked into the table tree only, with a stale id counter.
@@ -160,7 +160,7 @@ fn mount_heals_a_single_tree_insert_and_counts_the_repair() {
     assert_eq!(records.len(), 2);
     // The counter was healed past the torn id: no collision.
     let fresh = dbfs
-        .collect("user", SubjectId::new(4), user_row("fresh"))
+        .collect(&"user".into(), SubjectId::new(4), user_row("fresh"))
         .unwrap();
     assert!(fresh.raw() > 5);
     dbfs.verify_index_invariants().unwrap();
@@ -180,7 +180,7 @@ fn journal_replays_surface_in_stats_after_a_crash_remount() {
             FaultPlan::CrashAfterWrites(crash_after),
         );
         let dbfs = Dbfs::mount(faulty).unwrap();
-        let _ = dbfs.collect("user", SubjectId::new(1), user_row("x"));
+        let _ = dbfs.collect(&"user".into(), SubjectId::new(1), user_row("x"));
         drop(dbfs);
         let remounted = Dbfs::mount(Arc::clone(&device)).unwrap();
         replays_seen += remounted.stats().journal_replays;
@@ -210,7 +210,7 @@ fn crashed_two_phase_erase_completes_on_sharded_remount() {
         let sharded = ShardedDbfs::format(devices.clone(), DbfsParams::small()).unwrap();
         sharded.create_type(listing1_user_schema()).unwrap();
         let original = sharded
-            .collect("user", SubjectId::new(11), user_row("original"))
+            .collect(&"user".into(), SubjectId::new(11), user_row("original"))
             .unwrap();
         // Round-robin placement: find a copy that landed off the original's
         // shard, so the erasure genuinely crosses shards.
@@ -284,7 +284,7 @@ fn empty_target_intent_heals_lineage_on_remount() {
         let sharded = ShardedDbfs::format(devices.clone(), DbfsParams::small()).unwrap();
         sharded.create_type(listing1_user_schema()).unwrap();
         let original = sharded
-            .collect("user", SubjectId::new(3), user_row("expiring"))
+            .collect(&"user".into(), SubjectId::new(3), user_row("expiring"))
             .unwrap();
         let copy = loop {
             let copy = sharded.copy(&user, original).unwrap();
@@ -331,7 +331,11 @@ fn erasure_destroys_key_material_on_dbfs() {
     let impostor = Authority::generate(32);
     let escrow = OperatorEscrow::new(authority.public_key());
     let id = dbfs
-        .collect("user", SubjectId::new(5), user_row("RAW-BLOCK-CANARY-77"))
+        .collect(
+            &"user".into(),
+            SubjectId::new(5),
+            user_row("RAW-BLOCK-CANARY-77"),
+        )
         .unwrap();
     assert!(!scan_for_pattern(device.as_ref(), b"RAW-BLOCK-CANARY-77")
         .unwrap()
@@ -384,7 +388,11 @@ fn erasure_destroys_key_material_on_sharded_dbfs() {
     let escrow = OperatorEscrow::new(authority.public_key());
     let user: DataTypeId = "user".into();
     let original = sharded
-        .collect("user", SubjectId::new(9), user_row("SHARD-CANARY-4242"))
+        .collect(
+            &"user".into(),
+            SubjectId::new(9),
+            user_row("SHARD-CANARY-4242"),
+        )
         .unwrap();
     // Force a cross-shard copy so the ciphertext lands on a second device.
     let copy = loop {
